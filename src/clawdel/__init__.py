@@ -68,6 +68,7 @@ from .reductions import (
     write_map,
 )
 from .solvers import (
+    ALGORITHMS,
     ShadowMismatchError,
     SolveReport,
     TraceStep,
@@ -75,14 +76,14 @@ from .solvers import (
     local_ratio_solve,
     max_subgraph_solve,
     primal_dual_solve,
-    split_max_subgraph,
-    split_solve,
+    solve,
     theta_of_solution,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "ALGORITHMS",
     "BipartiteGraph",
     "ClawWitness",
     "GenSpec",
@@ -134,8 +135,7 @@ __all__ = [
     "serialize_hypergraph",
     "serialize_split",
     "sniff_format",
-    "split_max_subgraph",
-    "split_solve",
+    "solve",
     "theta_of_solution",
     "to_bipartite",
     "to_split",

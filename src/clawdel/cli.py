@@ -9,9 +9,11 @@
 Exit codes: 0 success, 1 internal invariant violation, 2 parse or
 precondition failure, 3 oracle size guard, 4 infeasible solution in
 verify. Solve input format is sniffed from the `p bip` / `p split`
-header. `--json` emits one object with keys solution, cost,
+header. `solve` and `bench` run every algorithm through
+`solvers.solve`. `--json` emits one object with keys solution, cost,
 lower_bound, theta, algorithm, iterations, time_ms; rationals are
-strings like "3/2", undefined values are null.
+strings like "3/2", undefined values are null (lower_bound and theta
+for max-subgraph).
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ import argparse
 import csv
 import json
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
-from .claws import find_claw_split, is_feasible, is_minimal
+from .claws import is_feasible, is_minimal
 from .formats import (
     ParseError,
     parse_auto,
@@ -42,19 +43,12 @@ from .reductions import (
     to_split,
     write_map,
 )
-from .solvers import (
-    ShadowMismatchError,
-    SolveReport,
-    exact_solve,
-    local_ratio_solve,
-    max_subgraph_solve,
-    primal_dual_solve,
-    split_max_subgraph,
-    split_solve,
-)
+from .solvers import ALGORITHMS, ShadowMismatchError, SolveReport, solve
 
-ALGORITHMS = ("primal-dual", "local-ratio", "exact", "max-subgraph")
 REDUCTION_KINDS = ("hvc-osbcd", "osbcd-split", "split-osbcd", "vc-dense")
+BENCH_FIELDS = ("instance", "algorithm", "t", "cost", "lower_bound", "opt", "ratio", "theta",
+                "time_ms")
+EXIT_CODES = {ParseError: 2, OracleLimitError: 3, ShadowMismatchError: 1}
 
 FAMILY_SIZES = {
     "bip-random": ("na", "nb", "m"),
@@ -96,7 +90,7 @@ def _frac(value: Fraction | None) -> str | None:
     return None if value is None else str(value)
 
 
-def _report_payload(report: SolveReport, time_ms: int) -> dict:
+def _report_payload(report: SolveReport) -> dict:
     return {
         "solution": list(report.solution),
         "cost": _frac(report.cost),
@@ -104,7 +98,7 @@ def _report_payload(report: SolveReport, time_ms: int) -> dict:
         "theta": _frac(report.theta),
         "algorithm": report.algorithm,
         "iterations": report.iterations,
-        "time_ms": time_ms,
+        "time_ms": int(round(report.elapsed_s * 1000)),
     }
 
 
@@ -134,47 +128,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.trace and args.alg != "primal-dual":
         raise _CliError("--trace is only available for --alg primal-dual", 2)
 
-    started = time.perf_counter()
-    trace = None
-    if isinstance(g, BipartiteGraph):
-        if args.alg == "primal-dual":
-            report, trace = primal_dual_solve(g)
-        elif args.alg == "local-ratio":
-            report = local_ratio_solve(g)
-        elif args.alg == "exact":
-            report = exact_solve(g)
-        else:
-            solution, weight = max_subgraph_solve(g)
-            report = None
-    else:
-        if args.alg == "primal-dual":
-            shadow, _ = to_bipartite(g)
-            report, trace = primal_dual_solve(shadow)
-            witness = find_claw_split(g, report.solution)
-            if witness is not None:
-                raise ShadowMismatchError(report.solution, witness)
-        elif args.alg in ("local-ratio", "exact"):
-            report = split_solve(g, args.alg)
-        else:
-            solution, weight = split_max_subgraph(g)
-            report = None
-    elapsed_ms = int(round((time.perf_counter() - started) * 1000))
-
-    if report is None:
-        payload = {
-            "solution": list(solution),
-            "cost": _frac(weight),
-            "lower_bound": None,
-            "theta": None,
-            "algorithm": "max-subgraph",
-            "iterations": 0,
-            "time_ms": elapsed_ms,
-        }
-    else:
-        payload = _report_payload(report, elapsed_ms)
+    report, trace = solve(g, args.alg)
     if args.trace:
-        _write_trace(args.trace, trace or [])
-    _print_payload(payload, args.json)
+        _write_trace(args.trace, trace)
+    _print_payload(_report_payload(report), args.json)
     return 0
 
 
@@ -253,56 +210,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if feasible else 4
 
 
-def _bench_opt(g: BipartiteGraph | SplitGraph) -> Fraction | None:
-    try:
-        _, cost = exact_min_deletion_set(g)
-        return cost
-    except OracleLimitError:
-        return None
-
-
 def _bench_row(name: str, alg: str, g, opt: Fraction | None) -> dict:
-    row = {
-        "instance": name, "algorithm": alg, "t": g.t, "cost": "",
-        "lower_bound": "", "opt": "", "ratio": "", "theta": "", "time_ms": "",
-    }
-    started = time.perf_counter()
+    """One CSV row (None is written empty); max-subgraph compares with total - opt."""
+    row = dict.fromkeys(BENCH_FIELDS)
+    row.update(instance=name, algorithm=alg, t=g.t)
     try:
-        if alg == "max-subgraph":
-            if isinstance(g, BipartiteGraph):
-                _, weight = max_subgraph_solve(g)
-            else:
-                _, weight = split_max_subgraph(g)
-            row["cost"] = str(weight)
-            if opt is not None:
-                opt_max = g.total_weight(g.vertices) - opt
-                row["opt"] = str(opt_max)
-                if weight > 0:
-                    row["ratio"] = str(Fraction(opt_max, weight))
-                elif opt_max == 0:
-                    row["ratio"] = "1"
-        else:
-            if isinstance(g, BipartiteGraph):
-                report = {
-                    "primal-dual": lambda: primal_dual_solve(g)[0],
-                    "local-ratio": lambda: local_ratio_solve(g),
-                    "exact": lambda: exact_solve(g),
-                }[alg]()
-            else:
-                report = split_solve(g, alg)
-            row["cost"] = str(report.cost)
-            row["lower_bound"] = str(report.dual_lower_bound)
-            row["theta"] = "" if report.theta is None else str(report.theta)
-            if opt is not None:
-                row["opt"] = str(opt)
-                if opt > 0:
-                    row["ratio"] = str(Fraction(report.cost, opt))
-                elif report.cost == 0:
-                    row["ratio"] = "1"
+        report, _ = solve(g, alg)
     except (ShadowMismatchError, OracleLimitError) as exc:
         print(f"warning: {name} [{alg}]: {exc}", file=sys.stderr)
         return row
-    row["time_ms"] = str(int(round((time.perf_counter() - started) * 1000)))
+    payload = _report_payload(report)
+    row.update((key, payload[key]) for key in ("cost", "lower_bound", "theta", "time_ms"))
+    if opt is not None:
+        if alg == "max-subgraph":
+            opt = g.total_weight(g.vertices) - opt
+            num, den = opt, report.cost
+        else:
+            num, den = report.cost, opt
+        row["opt"] = str(opt)
+        if den > 0:
+            row["ratio"] = str(Fraction(num, den))
+        elif num == 0:
+            row["ratio"] = "1"
     return row
 
 
@@ -324,14 +253,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"warning: skipping hypergraph instance {path.name}", file=sys.stderr)
             continue
         g = _load_deletion_instance(str(path))
-        opt = _bench_opt(g)
-        if opt is None:
+        try:
+            _, opt = exact_min_deletion_set(g)
+        except OracleLimitError:
+            opt = None
             print(f"warning: {path.name}: oracle skipped (size guard)", file=sys.stderr)
         rows.extend(_bench_row(path.name, alg, g, opt) for alg in algs)
 
-    fields = ["instance", "algorithm", "t", "cost", "lower_bound", "opt", "ratio", "theta", "time_ms"]
     with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fields)
+        writer = csv.DictWriter(handle, fieldnames=BENCH_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
     return 0
@@ -382,18 +312,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
+    except (_CliError, *EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OracleLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ShadowMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, _CliError):
+            return exc.code
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Deletion solvers: primal-dual, local-ratio, max-subgraph, split wrapper.
+"""Deletion solvers: primal-dual, local-ratio, exact, max-subgraph, and `solve`.
 
 The primal-dual solver follows the covering program whose constraint
 for a vertex subset S reads
@@ -9,12 +9,15 @@ with one dual variable per subset. Only the current active set is ever
 raised, so the dual is recorded as a sequence of (active set, raise
 amount, tightened vertex) steps. All arithmetic is exact rationals; no
 floating point touches any solver path.
+
+`solve(g, algorithm)` is the one entry point: it picks the solver by
+name and solves a split graph through its cross-edge bipartite shadow.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -40,16 +43,19 @@ class SolveReport:
     `cost` is the weight of `solution`; `dual_lower_bound` is a valid
     lower bound on the optimum established during the run; `theta` is
     the certificate sum(dual_rank(delta(v)) for v in solution) /
-    dual_rank(E) on the whole graph, or None where undefined.
+    dual_rank(E) on the whole graph, or None where undefined. For
+    max-subgraph, `solution` is the kept set, `cost` its weight, and
+    `dual_lower_bound` and `theta` are None. `elapsed_s` is set by
+    `solve` only.
     """
 
     solution: tuple[int, ...]
     cost: Fraction
-    dual_lower_bound: Fraction
+    dual_lower_bound: Fraction | None
     theta: Fraction | None
     algorithm: str
     iterations: int
-    elapsed_s: float
+    elapsed_s: float = 0.0
 
 
 class ShadowMismatchError(RuntimeError):
@@ -98,7 +104,6 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
     Reverse deletion then prunes the preliminary solution to a minimal
     one.
     """
-    started = time.perf_counter()
     residual = {v: g.weight(v) for v in g.vertices}
     active: list[int] = list(g.vertices)
     selected: list[int] = []
@@ -127,7 +132,6 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
         theta=theta_of_solution(g, solution),
         algorithm="primal-dual",
         iterations=len(trace),
-        elapsed_s=time.perf_counter() - started,
     )
     return report, trace
 
@@ -141,7 +145,6 @@ def local_ratio_solve(g: BipartiteGraph) -> SolveReport:
     amounts is a valid lower bound on the optimum, so the cost is at
     most (t + 1) times it.
     """
-    started = time.perf_counter()
     residual = {v: g.weight(v) for v in g.vertices}
     selected: list[int] = []
     chosen: set[int] = set()
@@ -167,7 +170,6 @@ def local_ratio_solve(g: BipartiteGraph) -> SolveReport:
         theta=theta_of_solution(g, solution),
         algorithm="local-ratio",
         iterations=rounds,
-        elapsed_s=time.perf_counter() - started,
     )
 
 
@@ -180,7 +182,6 @@ def exact_solve(g: BipartiteGraph) -> SolveReport:
     """
     from .oracle import exact_min_deletion_set
 
-    started = time.perf_counter()
     raw, _ = exact_min_deletion_set(g)
     minimal = reverse_delete(g, list(raw))
     return SolveReport(
@@ -190,61 +191,65 @@ def exact_solve(g: BipartiteGraph) -> SolveReport:
         theta=theta_of_solution(g, minimal),
         algorithm="exact",
         iterations=0,
-        elapsed_s=time.perf_counter() - started,
     )
 
 
-def max_subgraph_solve(g: BipartiteGraph) -> tuple[tuple[int, ...], Fraction]:
-    """Heaviest claw-free induced subgraph among V minus S, A, and B.
+def max_subgraph_solve(g: BipartiteGraph | SplitGraph) -> tuple[tuple[int, ...], Fraction]:
+    """Heaviest claw-free induced subgraph among V minus S and the two sides.
 
-    S comes from the primal-dual solver. Both sides are claw free on
-    their own, so the winner always induces a claw-free subgraph. Ties
-    prefer V minus S, then A.
+    S comes from the primal-dual solver. Each side is claw free on its
+    own (A or B of a bipartite graph; the clique side has no induced
+    claws and the independent side no edges), so the winner always
+    induces a claw-free subgraph. Ties prefer V minus S, then the A or
+    clique side.
     """
-    report, _ = primal_dual_solve(g)
+    report, _ = solve(g, "primal-dual")
     deleted = set(report.solution)
     remainder = [v for v in g.vertices if v not in deleted]
-    candidates = [remainder, list(g.a_side), list(g.b_side)]
+    if isinstance(g, BipartiteGraph):
+        candidates = [remainder, list(g.a_side), list(g.b_side)]
+    else:
+        candidates = [remainder, list(g.clique_side), list(g.indep_side)]
     best = max(range(3), key=lambda i: (g.total_weight(candidates[i]), -i))
     pick = candidates[best]
     return tuple(sorted(pick)), g.total_weight(pick)
 
 
-def split_max_subgraph(h: SplitGraph) -> tuple[tuple[int, ...], Fraction]:
-    """Split-graph analogue of `max_subgraph_solve`.
+# Each entry looks its solver up when called, so a module attribute
+# replaced at run time (a profiler's wrapper, say) is the one that runs.
+_DELETION_SOLVERS = {
+    "primal-dual": lambda g: primal_dual_solve(g),
+    "local-ratio": lambda g: (local_ratio_solve(g), None),
+    "exact": lambda g: (exact_solve(g), None),
+}
+ALGORITHMS = (*_DELETION_SOLVERS, "max-subgraph")
 
-    The clique side has no induced claws at all and the independent
-    side has no edges, so both are always usable candidates.
+
+def solve(
+    g: BipartiteGraph | SplitGraph, algorithm: str
+) -> tuple[SolveReport, list[TraceStep] | None]:
+    """Run one of `ALGORITHMS` on g, timed; only primal-dual returns a trace.
+
+    A split graph's deletion algorithms run on its cross-edge bipartite
+    shadow, and the set found is re-verified on the split graph; a claw
+    left there (one that uses a clique vertex as a leaf) raises
+    ShadowMismatchError.
     """
-    report = split_solve(h, "primal-dual")
-    deleted = set(report.solution)
-    remainder = [v for v in h.vertices if v not in deleted]
-    candidates = [remainder, list(h.clique_side), list(h.indep_side)]
-    best = max(range(3), key=lambda i: (h.total_weight(candidates[i]), -i))
-    pick = candidates[best]
-    return tuple(sorted(pick)), h.total_weight(pick)
-
-
-def split_solve(h: SplitGraph, algorithm: str = "primal-dual") -> SolveReport:
-    """Solve a split instance through its cross-edge bipartite shadow.
-
-    Runs the requested algorithm ("primal-dual", "local-ratio" or
-    "exact") on the shadow and re-verifies the returned set on the
-    split graph itself. A verification failure raises
-    ShadowMismatchError: the split graph then contains a claw that uses
-    a clique vertex as a leaf and is invisible in the shadow.
-    """
-    shadow, _ = reductions.to_bipartite(h)
-    if algorithm == "primal-dual":
-        report, _ = primal_dual_solve(shadow)
-    elif algorithm == "local-ratio":
-        report = local_ratio_solve(shadow)
-    elif algorithm == "exact":
-        report = exact_solve(shadow)
-    else:
+    clock = time.perf_counter
+    started = clock()
+    trace = None
+    if algorithm == "max-subgraph":
+        kept, weight = max_subgraph_solve(g)
+        report = SolveReport(solution=kept, cost=weight, dual_lower_bound=None, theta=None,
+                             algorithm=algorithm, iterations=0)
+    elif algorithm not in _DELETION_SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-
-    witness = find_claw_split(h, report.solution)
-    if witness is not None:
-        raise ShadowMismatchError(report.solution, witness)
-    return report
+    elif isinstance(g, BipartiteGraph):
+        report, trace = _DELETION_SOLVERS[algorithm](g)
+    else:
+        shadow, _ = reductions.to_bipartite(g)
+        report, trace = _DELETION_SOLVERS[algorithm](shadow)
+        witness = find_claw_split(g, report.solution)
+        if witness is not None:
+            raise ShadowMismatchError(report.solution, witness)
+    return replace(report, elapsed_s=clock() - started), trace

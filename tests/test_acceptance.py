@@ -6,7 +6,8 @@ nothing is approximate. Two criteria are expected to fail and do so
 honestly: the pad-set construction admits a cheaper optimum than the
 intended vertex-cover offset (criterion 10), and completing the A side
 into a clique can create claws invisible in the cross-edge shadow
-(criterion 11, with the counterexample dumped to counterexamples/).
+(criterion 11; each run dumps its first counterexample to the test's
+temporary directory, and counterexamples/ holds a committed copy).
 """
 
 import contextlib
@@ -17,7 +18,6 @@ import random
 import re
 from fractions import Fraction
 from itertools import chain, combinations
-from pathlib import Path
 
 from clawdel import (
     BipartiteGraph,
@@ -51,8 +51,6 @@ from clawdel import (
     to_split,
 )
 from clawdel.cli import main as cli_main
-
-COUNTEREXAMPLE_DIR = Path(__file__).resolve().parent.parent / "counterexamples"
 
 
 def report(num, name, ok, detail=""):
@@ -322,7 +320,7 @@ def test_criterion_10_dense_construction_equality():
     )
 
 
-def test_criterion_11_split_completion_equivalence():
+def test_criterion_11_split_completion_equivalence(tmp_path):
     disagreements = 0
     first_dump = None
     for i in range(30):
@@ -337,8 +335,7 @@ def test_criterion_11_split_completion_equivalence():
                 disagreements += 1
                 if first_dump is None:
                     witness = find_claw_split(h, subset)
-                    COUNTEREXAMPLE_DIR.mkdir(exist_ok=True)
-                    dump = COUNTEREXAMPLE_DIR / "split_completion_equivalence.txt"
+                    dump = tmp_path / "split_completion_equivalence.txt"
                     dump.write_text(
                         "# bipartite feasibility and split-completion feasibility disagree\n"
                         f"# deletion set: {sorted(subset)}\n"

@@ -76,7 +76,9 @@ def test_solve_split_input(tmp_path, capsys):
 def test_solve_shadow_mismatch_exits_1(tmp_path, capsys):
     instance = write(tmp_path / "bad.split", MISMATCH_SPLIT)
     assert main(["solve", "--alg", "primal-dual", "--input", instance]) == 1
-    assert "clique" in capsys.readouterr().err or True
+    assert capsys.readouterr().err == (
+        "error: shadow solution [] leaves a split claw with center 1 and leaves [2, 3, 4]\n"
+    )
 
 
 def test_solve_parse_error_exits_2(tmp_path, capsys):

@@ -19,8 +19,7 @@ from clawdel import (
     local_ratio_solve,
     max_subgraph_solve,
     primal_dual_solve,
-    split_max_subgraph,
-    split_solve,
+    solve,
     theta_of_solution,
     to_split,
 )
@@ -209,28 +208,31 @@ def test_exact_solve_report(g1):
 
 
 def test_split_solve_basic(h2, g1):
-    assert split_solve(h2).cost == 1
+    assert solve(h2, "primal-dual")[0].cost == 1
     empty = SplitGraph(1, 0, frozenset(), 3)
-    assert split_solve(empty).solution == ()
+    assert solve(empty, "primal-dual")[0].solution == ()
     h_from_g1, _ = to_split(g1)
-    assert split_solve(h_from_g1).solution == primal_dual_solve(g1)[0].solution
+    assert solve(h_from_g1, "primal-dual")[0].solution == primal_dual_solve(g1)[0].solution
 
 
 def test_split_solve_algorithms_agree_on_costs(h2):
-    assert split_solve(h2, "local-ratio").cost == 1
-    assert split_solve(h2, "exact").cost == 1
+    assert solve(h2, "local-ratio")[0].cost == 1
+    assert solve(h2, "exact")[0].cost == 1
     with pytest.raises(ValueError):
-        split_solve(h2, "simplex")
+        solve(h2, "simplex")
 
 
 def test_split_solve_raises_on_shadow_mismatch():
     h = SplitGraph(2, 2, frozenset({(1, 3), (1, 4)}), 3)
     with pytest.raises(ShadowMismatchError) as err:
-        split_solve(h)
+        solve(h, "primal-dual")
     assert err.value.witness.center == 1
 
 
 def test_split_max_subgraph(h2):
-    solution, weight = split_max_subgraph(h2)
+    solution, weight = max_subgraph_solve(h2)
     assert weight == 4
     assert is_feasible(h2, set(h2.vertices) - set(solution))
+    report, trace = solve(h2, "max-subgraph")
+    assert (report.solution, report.cost) == (solution, weight)
+    assert report.dual_lower_bound is None and report.theta is None and trace is None
