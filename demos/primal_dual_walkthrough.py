@@ -28,12 +28,14 @@ def main():
     print()
 
     report, trace = primal_dual_solve(g)
+    active = list(g.vertices)  # V minus the vertices made tight so far
     for k, step in enumerate(trace, start=1):
-        coeff = incidence_dual_ranks(PolymatroidContext(g, frozenset(step.active)))
+        coeff = incidence_dual_ranks(PolymatroidContext(g, frozenset(active)))
         shown = {v: c for v, c in coeff.items() if c > 0}
-        print(f"iteration {k}: active set {list(step.active)}")
+        print(f"iteration {k}: active set {active}")
         print(f"  coefficients {shown}")
         print(f"  raise dual by {step.amount}; vertex {step.selected} becomes tight")
+        active.remove(step.selected)
     print()
     print(f"selected order pruned by reverse deletion -> solution {list(report.solution)}")
     print(f"cost {report.cost}, dual lower bound {report.dual_lower_bound}, "

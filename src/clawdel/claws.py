@@ -6,6 +6,11 @@ claw exists exactly when some surviving A-vertex keeps t or more
 surviving neighbors. In a split graph every claw is centered at a
 clique vertex and its t leaves must be pairwise nonadjacent, which
 allows at most one clique vertex among them.
+
+`DegreeState` keeps those surviving A-degrees as vertices are deleted
+and put back, so the bipartite solvers, `reverse_delete` and
+`is_minimal` test feasibility in O(degree) instead of rescanning every
+edge; split graphs are rescanned with `find_claw_split`.
 """
 
 from __future__ import annotations
@@ -84,18 +89,123 @@ def is_feasible(g: BipartiteGraph | SplitGraph, solution: Iterable[int]) -> bool
     return _find(g, solution) is None
 
 
+class DegreeState:
+    """Alive vertices of a bipartite graph and the alive degree of each A-vertex.
+
+    `deg[a]` counts the alive B-neighbours of every A-vertex a, alive or
+    not, and `centres` counts the alive A-vertices with degree >= t: a
+    claw survives exactly while it is nonzero. Removing or restoring a
+    vertex, and testing whether a removed one can come back without
+    creating a claw, cost O(its degree).
+    """
+
+    def __init__(self, g: BipartiteGraph, removed: Iterable[int] = ()) -> None:
+        self.g = g
+        alive = self.alive = [False] + [True] * g.n_vertices
+        deg = self.deg = [0] + [len(g.adj[a]) for a in g.a_side]
+        for v in removed:
+            if v in g.adj and alive[v]:
+                alive[v] = False
+                if v > g.n_a:
+                    for a in g.adj[v]:
+                        deg[a] -= 1
+        self.centres = sum(1 for a in g.a_side if alive[a] and deg[a] >= g.t)
+
+    def is_centre(self, v: int) -> bool:
+        return v <= self.g.n_a and self.alive[v] and self.deg[v] >= self.g.t
+
+    def coefficients(self) -> list[int]:
+        """dual_rank of each vertex's alive incident edges on the alive subgraph, by id.
+
+        2 * (deg - t + 1) for a centre, 0 for any other A-vertex, and
+        for a B-vertex twice its number of centre neighbours; their sum
+        over the A-side is dual_rank of the alive edge set.
+        """
+        g, alive, deg, t = self.g, self.alive, self.deg, self.g.t
+        out = [0] * (g.n_vertices + 1)
+        for a in g.a_side:
+            if alive[a] and deg[a] >= t:
+                out[a] = 2 * (deg[a] - t + 1)
+                for b in g.adj[a]:
+                    if alive[b]:
+                        out[b] += 2
+        return out
+
+    def remove(self, v: int) -> list[int]:
+        """Delete alive vertex v and return the centres it touched.
+
+        That is [v] for a centre, and for a B-vertex the A-neighbours
+        that were centres: each lost one degree, and stopped being a
+        centre if it is now down to t - 1.
+        """
+        g, alive, deg = self.g, self.alive, self.deg
+        alive[v] = False
+        if v <= g.n_a:
+            if deg[v] < g.t:
+                return []
+            self.centres -= 1
+            return [v]
+        touched = []
+        for a in g.adj[v]:
+            deg[a] -= 1
+            if alive[a] and deg[a] >= g.t - 1:
+                touched.append(a)
+                if deg[a] == g.t - 1:
+                    self.centres -= 1
+        return touched
+
+    def restore(self, v: int) -> None:
+        """Undo `remove(v)`; an id outside the graph is ignored."""
+        g, alive, deg = self.g, self.alive, self.deg
+        if v not in g.adj:
+            return
+        alive[v] = True
+        if v <= g.n_a:
+            self.centres += deg[v] >= g.t
+            return
+        for a in g.adj[v]:
+            deg[a] += 1
+            if alive[a] and deg[a] == g.t:
+                self.centres += 1
+
+    def can_restore(self, v: int) -> bool:
+        """True iff bringing back removed v leaves a claw-free state claw free.
+
+        An A-vertex needs alive degree below t; a B-vertex needs every
+        alive A-neighbour below t - 1. An id outside the graph changes
+        nothing and can always come back.
+        """
+        g = self.g
+        if v in g.a_side:
+            return self.deg[v] < g.t
+        return all(self.deg[a] < g.t - 1 for a in g.adj.get(v, ()) if self.alive[a])
+
+
+def _restore_test(g: BipartiteGraph | SplitGraph, removed: set[int], infeasible: str):
+    """`(can_restore, restore)` for the feasible deletion set `removed`.
+
+    A bipartite graph answers from a `DegreeState`; a split graph
+    rescans `removed` with `find_claw_split` on every test. Raises
+    ValueError(infeasible) when `removed` leaves a claw.
+    """
+    if isinstance(g, BipartiteGraph):
+        state = DegreeState(g, removed)
+        if state.centres:
+            raise ValueError(infeasible)
+        return state.can_restore, state.restore
+    if not is_feasible(g, removed):
+        raise ValueError(infeasible)
+    return (lambda v: is_feasible(g, removed - {v})), removed.discard
+
+
 def is_minimal(g: BipartiteGraph | SplitGraph, solution: Iterable[int]) -> bool:
     """True iff `solution` is feasible and no proper subset is.
 
     Raises ValueError when `solution` is not feasible to begin with.
     """
     sol = set(solution)
-    if not is_feasible(g, sol):
-        raise ValueError("solution is not feasible")
-    for v in sorted(sol):
-        if is_feasible(g, sol - {v}):
-            return False
-    return True
+    can_restore, _ = _restore_test(g, sol, "solution is not feasible")
+    return not any(can_restore(v) for v in sorted(sol))
 
 
 def reverse_delete(g: BipartiteGraph | SplitGraph, ordered: Sequence[int]) -> list[int]:
@@ -106,9 +216,11 @@ def reverse_delete(g: BipartiteGraph | SplitGraph, ordered: Sequence[int]) -> li
     infeasible.
     """
     kept = set(ordered)
-    if not is_feasible(g, kept):
-        raise ValueError("reverse deletion requires a feasible input set")
+    can_restore, restore = _restore_test(
+        g, kept, "reverse deletion requires a feasible input set"
+    )
     for v in reversed(ordered):
-        if is_feasible(g, kept - {v}):
+        if v in kept and can_restore(v):
+            restore(v)
             kept.discard(v)
     return [v for v in ordered if v in kept]

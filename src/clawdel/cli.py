@@ -115,11 +115,13 @@ def _print_payload(payload: dict, as_json: bool) -> None:
     print(f"time_ms: {payload['time_ms']}")
 
 
-def _write_trace(path: str, trace) -> None:
+def _write_trace(path: str, trace, vertices: range) -> None:
+    """One line per raise; the active set is the vertices not yet selected."""
     lines = ["# dual trace (primal-dual): raise amount, tight vertex, active set"]
+    active = [str(v) for v in vertices]
     for step in trace:
-        active = " ".join(str(v) for v in step.active)
-        lines.append(f"raise {step.amount} tight {step.selected} active {active}")
+        lines.append(f"raise {step.amount} tight {step.selected} active {' '.join(active)}")
+        active.remove(str(step.selected))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -130,7 +132,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     report, trace = solve(g, args.alg)
     if args.trace:
-        _write_trace(args.trace, trace)
+        _write_trace(args.trace, trace, g.vertices)
     _print_payload(_report_payload(report), args.json)
     return 0
 

@@ -6,9 +6,13 @@ for a vertex subset S reads
     sum over v in S of dual_rank_incident(v, S) * x_v  >=  dual_rank(E[S]),
 
 with one dual variable per subset. Only the current active set is ever
-raised, so the dual is recorded as a sequence of (active set, raise
-amount, tightened vertex) steps. All arithmetic is exact rationals; no
-floating point touches any solver path.
+raised, and it is always V minus the vertices picked so far, so the
+dual is recorded as a sequence of (raise amount, tightened vertex)
+steps. The solver is event driven: the coefficients
+dual_rank_incident(v, S) and dual_rank(E[S]) live in a `DegreeState`
+plus a few integers updated as vertices leave S, and a heap orders the
+exact raise level at which each vertex becomes tight. All arithmetic is
+exact rationals; no floating point touches any solver path.
 
 `solve(g, algorithm)` is the one entry point: it picks the solver by
 name and solves a split graph through its cross-edge bipartite shadow.
@@ -16,22 +20,24 @@ name and solves a split graph through its cross-edge bipartite shadow.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
 from . import reductions
-from .claws import find_claw, find_claw_split, reverse_delete
-from .graphs import BipartiteGraph, SplitGraph, incident_edges
-from .polymatroid import PolymatroidContext, dual_rank, incidence_dual_ranks
+from .claws import DegreeState, find_claw_split, reverse_delete
+from .graphs import BipartiteGraph, SplitGraph
 
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One dual raise: the active set, the raise amount, the vertex made tight."""
+    """One dual raise: the raise amount and the vertex it made tight.
 
-    active: tuple[int, ...]
+    The set raised is V minus the vertices selected by earlier steps.
+    """
+
     amount: Fraction
     selected: int
 
@@ -78,19 +84,23 @@ class ShadowMismatchError(RuntimeError):
 def theta_of_solution(g: BipartiteGraph, solution: Iterable[int]) -> Fraction:
     """Certificate ratio for a minimal feasible set on the whole graph.
 
-    Returns sum(dual_rank(delta(v))) / dual_rank(E). A claw-free graph
-    has dual_rank(E) = 0; the ratio is then 0 for the empty solution
-    and undefined (ValueError) otherwise.
+    Returns sum(dual_rank(delta(v))) / dual_rank(E), in closed form: an
+    A-vertex of degree >= t contributes 2 * (deg - t + 1), a B-vertex
+    twice its number of such neighbours. A claw-free graph has
+    dual_rank(E) = 0; the ratio is then 0 for the empty solution and
+    undefined (ValueError) otherwise.
     """
-    ctx = PolymatroidContext(g)
-    total = dual_rank(ctx, ctx.edges)
+    coeff = DegreeState(g).coefficients()
+    total = sum(coeff[: g.n_a + 1])
     sol = sorted(set(solution))
     if total == 0:
         if not sol:
             return Fraction(0)
         raise ValueError("theta undefined: graph is claw free but solution is nonempty")
-    numer = sum(dual_rank(ctx, incident_edges(g, v)) for v in sol)
-    return Fraction(numer, total)
+    for v in sol:
+        if v not in g.adj:
+            raise ValueError(f"vertex {v} out of range")
+    return Fraction(sum(coeff[v] for v in sol), total)
 
 
 def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
@@ -103,25 +113,58 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
     out of S, and repeats while the preliminary solution is infeasible.
     Reverse deletion then prunes the preliminary solution to a minimal
     one.
+
+    With `raised` the total raise so far, a vertex of coefficient c and
+    residual weight r is tight at level raised + r / c. Coefficients
+    only fall as S shrinks, so these levels only rise, and a heap entry
+    made stale by a fall is refreshed when it reaches the top.
     """
-    residual = {v: g.weight(v) for v in g.vertices}
-    active: list[int] = list(g.vertices)
+    t, adj = g.t, g.adj
+    state = DegreeState(g)
+    alive, deg = state.alive, state.deg
+    coeff = state.coefficients()
+    rank = sum(coeff[: g.n_a + 1])  # dual_rank(E[S])
+    tight_at = [g.weight(v) / c if c else None for v, c in enumerate(coeff)]
+    heap = [(level, v) for v, level in enumerate(tight_at) if level is not None]
+    heapq.heapify(heap)
+    raised = dual_lb = Fraction(0)
     selected: list[int] = []
     trace: list[TraceStep] = []
-    dual_lb = Fraction(0)
 
-    while find_claw(g, selected) is not None:
-        ctx = PolymatroidContext(g, frozenset(active))
-        coeff = incidence_dual_ranks(ctx)
-        prices = [(Fraction(residual[v], coeff[v]), v) for v in active if coeff[v] > 0]
-        eps, tight = min(prices)
-        for v in active:
-            if coeff[v] > 0:
-                residual[v] -= eps * coeff[v]
-        dual_lb += eps * dual_rank(ctx, ctx.edges)
-        trace.append(TraceStep(active=tuple(active), amount=eps, selected=tight))
+    while state.centres:
+        level, tight = heap[0]
+        if tight_at[tight] is not level:
+            if tight_at[tight] is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (tight_at[tight], tight))
+            continue
+        heapq.heappop(heap)
+        eps = level - raised
+        raised = level
+        dual_lb += eps * rank
+        trace.append(TraceStep(amount=eps, selected=tight))
         selected.append(tight)
-        active.remove(tight)
+        tight_at[tight] = None
+
+        # A centre that loses an edge loses 2; one that leaves S or falls to
+        # degree t - 1 also takes 2 from each alive B-neighbour.
+        before: dict[int, int] = {}  # coefficient of each vertex this removal lowers
+        for a in state.remove(tight):
+            if a == tight:
+                rank -= coeff[a]
+            else:
+                before.setdefault(a, coeff[a])
+                coeff[a] -= 2
+                rank -= 2
+                if deg[a] >= t:
+                    continue
+            for b in adj[a]:
+                if alive[b]:
+                    before.setdefault(b, coeff[b])
+                    coeff[b] -= 2
+        for v, c in before.items():
+            tight_at[v] = raised + (tight_at[v] - raised) * c / coeff[v] if coeff[v] else None
 
     solution = reverse_delete(g, selected)
     cost = g.total_weight(solution)
@@ -143,23 +186,29 @@ def local_ratio_solve(g: BipartiteGraph) -> SolveReport:
     claw witness from all of them and collects the vertices that reach
     zero, then prunes with reverse deletion. The sum of the subtracted
     amounts is a valid lower bound on the optimum, so the cost is at
-    most (t + 1) times it.
+    most (t + 1) times it. The witness is the one `find_claw` returns:
+    the lowest centre with its lowest t alive neighbours. Centres only
+    disappear as vertices are removed, so the lowest one only moves up.
     """
     residual = {v: g.weight(v) for v in g.vertices}
+    state = DegreeState(g)
     selected: list[int] = []
-    chosen: set[int] = set()
     rounds = 0
     lower = Fraction(0)
+    centre = 1
 
-    while (witness := find_claw(g, selected)) is not None:
-        verts = witness.vertices
+    while state.centres:
+        while not state.is_centre(centre):
+            centre += 1
+        leaves = [b for b in g.adj[centre] if state.alive[b]][: g.t]
+        verts = [centre, *leaves]  # sorted: A-ids precede B-ids
         eps = min(residual[v] for v in verts)
         lower += eps
         rounds += 1
         for v in verts:
             residual[v] -= eps
-            if residual[v] == 0 and v not in chosen:
-                chosen.add(v)
+            if residual[v] == 0:
+                state.remove(v)
                 selected.append(v)
 
     solution = reverse_delete(g, selected)

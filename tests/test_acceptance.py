@@ -201,12 +201,14 @@ def test_criterion_05_primal_dual_correctness():
         assert is_minimal(g, solved.solution)
         assert solved.cost >= solved.dual_lower_bound >= 0
         paid = {v: Fraction(0) for v in g.vertices}
-        selected = set()
-        for step in trace:
-            coeff = incidence_dual_ranks(PolymatroidContext(g, frozenset(step.active)))
-            for v in step.active:
+        picks = [step.selected for step in trace]
+        selected = set(picks)
+        assert len(selected) == len(picks)
+        for k, step in enumerate(trace):
+            active = frozenset(g.vertices) - set(picks[:k])
+            coeff = incidence_dual_ranks(PolymatroidContext(g, active))
+            for v in active:
                 paid[v] += step.amount * coeff[v]
-            selected.add(step.selected)
         assert all(paid[v] <= g.weight(v) for v in g.vertices)
         assert all(paid[v] == g.weight(v) for v in selected)
     report(5, "primal-dual-correctness", True, "300 instances, trace-checked")

@@ -1,0 +1,203 @@
+"""The event-driven solvers against the per-iteration reference loops.
+
+`reference_solvers` holds the straightforward loops that rebuild their
+state on every raise, round or vertex. The solvers must reproduce them
+exactly: reports, the (amount, selected) sequence of the dual trace,
+reverse deletion, minimality and theta.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import reference_solvers as ref
+from clawdel import (
+    BipartiteGraph,
+    GenSpec,
+    PolymatroidContext,
+    SplitGraph,
+    claws,
+    dual_rank,
+    generate,
+    incident_edges,
+    is_minimal,
+    local_ratio_solve,
+    polymatroid,
+    primal_dual_solve,
+    reverse_delete,
+    solvers,
+    theta_of_solution,
+)
+
+WEIGHT_MODES = ("unit", "1:9", "zero", "fraction")
+
+
+def random_instance(seed):
+    """Bipartite instance with t in 3..5, one of four weight modes, any density."""
+    rng = random.Random(seed)
+    t = rng.randint(3, 5)
+    na, nb = rng.randint(0, 8), rng.randint(0, 14)
+    pairs = [(a, na + b) for a in range(1, na + 1) for b in range(1, nb + 1)]
+    density = rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
+    edges = frozenset(e for e in pairs if rng.random() < density)
+    mode = WEIGHT_MODES[seed % len(WEIGHT_MODES)]
+    vertices = range(1, na + nb + 1)
+    if mode == "unit":
+        weights = {}
+    elif mode == "1:9":
+        weights = {v: rng.randint(1, 9) for v in vertices}
+    elif mode == "zero":
+        weights = {v: rng.choice((0, 0, 1, 2, 3)) for v in vertices}
+    else:
+        weights = {v: Fraction(rng.randint(0, 12), rng.randint(1, 7)) for v in vertices}
+    return BipartiteGraph(na, nb, edges, t, weights)
+
+
+INSTANCES = [random_instance(seed) for seed in range(640)]
+
+
+def test_the_suite_covers_every_kind_of_instance():
+    ts = {g.t for g in INSTANCES}
+    empty = [g for g in INSTANCES if g.n_vertices == 0]
+    claw_free = [g for g in INSTANCES if g.n_vertices and claws.find_claw(g) is None]
+    many_raises = [g for g in INSTANCES if ref.primal_dual_solve(g)[0].iterations >= 5]
+    assert ts == {3, 4, 5}
+    assert empty and len(claw_free) >= 20 and len(many_raises) >= 100
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_primal_dual_matches_the_reference(chunk):
+    for g in INSTANCES[chunk::8]:
+        report, trace = primal_dual_solve(g)
+        expected, steps = ref.primal_dual_solve(g)
+        assert report == expected
+        assert [(s.amount, s.selected) for s in trace] == steps
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_local_ratio_matches_the_reference(chunk):
+    for g in INSTANCES[chunk::8]:
+        assert local_ratio_solve(g) == ref.local_ratio_solve(g)
+
+
+def _orders(g, rng):
+    """Feasible addition orders: all vertices shuffled, with and without repeats."""
+    everything = list(g.vertices)
+    rng.shuffle(everything)
+    yield everything
+    yield everything + rng.sample(everything, len(everything) // 3)
+    a_side = list(g.a_side)
+    rng.shuffle(a_side)
+    yield a_side
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_reverse_delete_and_is_minimal_match_the_reference(chunk):
+    rng = random.Random(chunk)
+    for g in INSTANCES[chunk::4]:
+        for order in _orders(g, rng):
+            pruned = reverse_delete(g, order)
+            assert pruned == ref.reverse_delete(g, order)
+            assert is_minimal(g, pruned) is ref.is_minimal(g, pruned) is True
+            bigger = set(pruned) | set(rng.sample(list(g.vertices), min(2, g.n_vertices)))
+            assert is_minimal(g, bigger) == ref.is_minimal(g, bigger)
+
+
+def test_split_reverse_delete_and_is_minimal_match_the_reference():
+    rng = random.Random(77)
+    for seed in range(80):
+        r = random.Random(seed)
+        nc, ni, t = r.randint(1, 4), r.randint(1, 6), r.randint(3, 4)
+        pairs = [(c, nc + i) for c in range(1, nc + 1) for i in range(1, ni + 1)]
+        h = SplitGraph(nc, ni, frozenset(r.sample(pairs, r.randint(0, len(pairs)))), t)
+        order = list(h.vertices)
+        rng.shuffle(order)
+        pruned = reverse_delete(h, order)
+        assert pruned == ref.reverse_delete(h, order)
+        assert is_minimal(h, pruned) and ref.is_minimal(h, pruned)
+        bigger = set(pruned) | {rng.choice(order)}
+        assert is_minimal(h, bigger) == ref.is_minimal(h, bigger)
+
+
+def test_infeasible_inputs_raise_like_the_reference():
+    star = BipartiteGraph(1, 4, frozenset({(1, 2), (1, 3), (1, 4), (1, 5)}), 3)
+    for fn in (reverse_delete, ref.reverse_delete):
+        with pytest.raises(ValueError, match="requires a feasible input"):
+            fn(star, [2])
+    for fn in (is_minimal, ref.is_minimal):
+        with pytest.raises(ValueError, match="not feasible"):
+            fn(star, [])
+    for g in INSTANCES[:200]:
+        witness = claws.find_claw(g)
+        if witness is None:
+            continue
+        survivor = [v for v in g.vertices if v not in witness.vertices]
+        with pytest.raises(ValueError):
+            reverse_delete(g, survivor)
+        with pytest.raises(ValueError):
+            is_minimal(g, survivor)
+
+
+def test_ids_outside_the_graph_behave_like_the_reference():
+    star = BipartiteGraph(1, 4, frozenset({(1, 2), (1, 3), (1, 4), (1, 5)}), 3)
+    for order in ([1, 99], [99, 1, 0], [2, 3, -1]):
+        assert reverse_delete(star, order) == ref.reverse_delete(star, order)
+        assert is_minimal(star, order) == ref.is_minimal(star, order)
+
+
+def test_theta_closed_form_matches_polymatroid_context():
+    rng = random.Random(5)
+    for g in INSTANCES:
+        ctx = PolymatroidContext(g)
+        total = dual_rank(ctx, ctx.edges)
+        subset = [v for v in g.vertices if rng.random() < 0.4]
+        if total == 0:
+            assert theta_of_solution(g, ()) == 0
+            if subset:
+                with pytest.raises(ValueError, match="claw free"):
+                    theta_of_solution(g, subset)
+            continue
+        numer = sum(dual_rank(ctx, incident_edges(g, v)) for v in subset)
+        assert theta_of_solution(g, subset) == Fraction(numer, total)
+        assert theta_of_solution(g, subset + subset) == Fraction(numer, total)
+    g = next(g for g in INSTANCES if claws.find_claw(g) is not None)
+    with pytest.raises(ValueError, match="out of range"):
+        theta_of_solution(g, [g.n_vertices + 1])
+
+
+def _count_calls(monkeypatch):
+    """Count calls of the per-iteration helpers wherever solver code may look them up."""
+    counts = {"PolymatroidContext": 0, "find_claw": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((polymatroid, "PolymatroidContext"), (claws, "find_claw")):
+        fn = getattr(module, name)
+        for site in (module, solvers):
+            if getattr(site, name, None) is fn:
+                monkeypatch.setattr(site, name, counting(name, fn))
+    return counts
+
+
+def test_solvers_do_not_rebuild_per_iteration(monkeypatch):
+    spec = GenSpec("bip-random", 3, 11, {"na": 80, "nb": 160, "m": 640}, ("uniform", 1, 9))
+    g = generate(spec)
+    counts = _count_calls(monkeypatch)
+
+    _, steps = ref.primal_dual_solve(g)
+    assert len(steps) >= 100
+    assert counts["PolymatroidContext"] >= len(steps) and counts["find_claw"] > len(steps)
+
+    counts.update(PolymatroidContext=0, find_claw=0)
+    report, _ = primal_dual_solve(g)
+    assert report.iterations == len(steps)
+    assert counts == {"PolymatroidContext": 0, "find_claw": 0}
+
+    report = local_ratio_solve(g)
+    assert report.iterations >= 100
+    assert counts == {"PolymatroidContext": 0, "find_claw": 0}
