@@ -36,7 +36,6 @@ from .graphs import (
     degree,
     incident_edges,
     incident_edges_within,
-    induced_edges,
     vertex_degrees,
 )
 from .oracle import (
@@ -114,7 +113,6 @@ __all__ = [
     "incidence_dual_ranks",
     "incident_edges",
     "incident_edges_within",
-    "induced_edges",
     "is_feasible",
     "is_matching",
     "is_minimal",

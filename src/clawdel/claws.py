@@ -102,14 +102,14 @@ class DegreeState:
     def __init__(self, g: BipartiteGraph, removed: Iterable[int] = ()) -> None:
         self.g = g
         alive = self.alive = [False] + [True] * g.n_vertices
-        deg = self.deg = [0] + [len(g.adj[a]) for a in g.a_side]
+        deg = self.deg = list(map(len, g.adj[: g.n_a + 1]))
         for v in removed:
-            if v in g.adj and alive[v]:
+            if v in g.vertices and alive[v]:
                 alive[v] = False
                 if v > g.n_a:
                     for a in g.adj[v]:
                         deg[a] -= 1
-        self.centres = sum(1 for a in g.a_side if alive[a] and deg[a] >= g.t)
+        self.centres = sum(1 for a, d in enumerate(deg) if d >= g.t and alive[a])
 
     def is_centre(self, v: int) -> bool:
         return v <= self.g.n_a and self.alive[v] and self.deg[v] >= self.g.t
@@ -157,7 +157,7 @@ class DegreeState:
     def restore(self, v: int) -> None:
         """Undo `remove(v)`; an id outside the graph is ignored."""
         g, alive, deg = self.g, self.alive, self.deg
-        if v not in g.adj:
+        if v not in g.vertices:
             return
         alive[v] = True
         if v <= g.n_a:
@@ -176,9 +176,11 @@ class DegreeState:
         nothing and can always come back.
         """
         g = self.g
-        if v in g.a_side:
+        if v not in g.vertices:
+            return True
+        if v <= g.n_a:
             return self.deg[v] < g.t
-        return all(self.deg[a] < g.t - 1 for a in g.adj.get(v, ()) if self.alive[a])
+        return all(self.deg[a] < g.t - 1 for a in g.adj[v] if self.alive[a])
 
 
 def _restore_test(g: BipartiteGraph | SplitGraph, removed: set[int], infeasible: str):

@@ -1,7 +1,8 @@
 """Text formats for problem instances.
 
 The three formats share one set of conventions: UTF-8, "\\n" line ends,
-"#" comment lines and blank lines are ignored, ids are 1-based.
+"#" comment lines and blank lines are ignored, ids are 1-based, and
+every count or id is ASCII digits with an optional leading "-".
 
     p bip <nA> <nB> <m> <t>      bipartite header
     p split <nC> <nI> <m> <t>    split header (cross edges only)
@@ -53,10 +54,9 @@ def _lines(text: str | bytes) -> Iterator[tuple[int, list[str]]]:
 
 
 def _int_field(token: str, what: str, line_no: int) -> int:
-    try:
+    if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
         return int(token)
-    except ValueError:
-        raise ParseError(f"{what} is not an integer: {token!r}", line_no) from None
+    raise ParseError(f"{what} is not an integer: {token!r}", line_no)
 
 
 def _parse_header(tokens: list[str], line_no: int, kind: str, n_fields: int) -> list[int]:
@@ -68,24 +68,24 @@ def _parse_header(tokens: list[str], line_no: int, kind: str, n_fields: int) -> 
     return values
 
 
-def _parse_weight(token: str, line_no: int) -> Fraction:
-    if not _WEIGHT_RE.match(token):
-        raise ParseError(f"bad weight {token!r} (expected 'k' or 'p/q')", line_no)
-    return Fraction(token)
+# Both two-sided formats: the graph class and the names of its two sides.
+_TWO_SIDED = {
+    "bip": (BipartiteGraph, "A-side", "B-side"),
+    "split": (SplitGraph, "clique-side", "independent-side"),
+}
 
 
-def _parse_pair_body(
-    rows: list[tuple[int, list[str]]],
-    m: int,
-    n_total: int,
-    lo_hint: str,
-    hi_hint: str,
-    first_range: range,
-    second_range: range,
-) -> tuple[set[tuple[int, int]], dict[int, Fraction]]:
+def _parse_two_sided(text: str | bytes, kind: str) -> BipartiteGraph | SplitGraph:
+    cls, first_side, second_side = _TWO_SIDED[kind]
+    rows = list(_lines(text))
+    if not rows:
+        raise ParseError(f"empty input, expected a 'p {kind}' header")
+    header_line, tokens = rows[0]
+    n1, n2, m, t = _parse_header(tokens, header_line, kind, 4)
+    n_total = n1 + n2
     edges: set[tuple[int, int]] = set()
     weights: dict[int, Fraction] = {}
-    for line_no, tokens in rows:
+    for line_no, tokens in rows[1:]:
         if tokens[0] == "n":
             if len(tokens) != 3:
                 raise ParseError("weight line needs 'n <id> <weight>'", line_no)
@@ -94,16 +94,18 @@ def _parse_pair_body(
                 raise ParseError(f"vertex id {v} out of range 1..{n_total}", line_no)
             if v in weights:
                 raise ParseError(f"duplicate weight for vertex {v}", line_no)
-            weights[v] = _parse_weight(tokens[2], line_no)
+            if not _WEIGHT_RE.match(tokens[2]):
+                raise ParseError(f"bad weight {tokens[2]!r} (expected 'k' or 'p/q')", line_no)
+            weights[v] = Fraction(tokens[2])
         elif tokens[0] == "e":
             if len(tokens) != 3:
                 raise ParseError("edge line needs 'e <u> <v>'", line_no)
             u = _int_field(tokens[1], "edge endpoint", line_no)
             v = _int_field(tokens[2], "edge endpoint", line_no)
-            if u not in first_range:
-                raise ParseError(f"index {u} out of {lo_hint} range", line_no)
-            if v not in second_range:
-                raise ParseError(f"index {v} out of {hi_hint} range", line_no)
+            if not 1 <= u <= n1:
+                raise ParseError(f"index {u} out of {first_side} range", line_no)
+            if not n1 < v <= n_total:
+                raise ParseError(f"index {v} out of {second_side} range", line_no)
             if (u, v) in edges:
                 raise ParseError(f"duplicate edge ({u}, {v})", line_no)
             edges.add((u, v))
@@ -111,39 +113,18 @@ def _parse_pair_body(
             raise ParseError(f"unknown line kind {tokens[0]!r}", line_no)
     if len(edges) != m:
         raise ParseError(f"header declares {m} edges but {len(edges)} were listed")
-    return edges, weights
+    try:
+        return cls(n1, n2, frozenset(edges), t, weights)
+    except ValueError as exc:
+        raise ParseError(str(exc), header_line) from exc
 
 
 def parse_bipartite(text: str | bytes) -> BipartiteGraph:
-    rows = list(_lines(text))
-    if not rows:
-        raise ParseError("empty input, expected a 'p bip' header")
-    line_no, tokens = rows[0]
-    n_a, n_b, m, t = _parse_header(tokens, line_no, "bip", 4)
-    edges, weights = _parse_pair_body(
-        rows[1:], m, n_a + n_b, "A-side", "B-side",
-        range(1, n_a + 1), range(n_a + 1, n_a + n_b + 1),
-    )
-    try:
-        return BipartiteGraph(n_a, n_b, frozenset(edges), t, weights)
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no) from exc
+    return _parse_two_sided(text, "bip")
 
 
 def parse_split(text: str | bytes) -> SplitGraph:
-    rows = list(_lines(text))
-    if not rows:
-        raise ParseError("empty input, expected a 'p split' header")
-    line_no, tokens = rows[0]
-    n_c, n_i, m, t = _parse_header(tokens, line_no, "split", 4)
-    edges, weights = _parse_pair_body(
-        rows[1:], m, n_c + n_i, "clique-side", "independent-side",
-        range(1, n_c + 1), range(n_c + 1, n_c + n_i + 1),
-    )
-    try:
-        return SplitGraph(n_c, n_i, frozenset(edges), t, weights)
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no) from exc
+    return _parse_two_sided(text, "split")
 
 
 def parse_hypergraph(text: str | bytes) -> Hypergraph:
@@ -181,24 +162,24 @@ def _comment_block(comments: tuple[str, ...] | list[str]) -> list[str]:
     return [f"# {c}" for c in comments]
 
 
-def _weight_lines(weights: dict[int, Fraction]) -> list[str]:
-    return [f"n {v} {weights[v]}" for v in sorted(weights)]
+def _serialize_two_sided(
+    g: BipartiteGraph | SplitGraph, kind: str, comments: tuple[str, ...] | list[str]
+) -> str:
+    first, second = g.sides
+    pairs = [f"e {u} {v}" for u in first for v in g.adj[u]]
+    lines = _comment_block(comments)
+    lines.append(f"p {kind} {len(first)} {len(second)} {len(pairs)} {g.t}")
+    lines.extend(f"n {v} {g.weights[v]}" for v in sorted(g.weights))
+    lines.extend(pairs)
+    return "\n".join(lines) + "\n"
 
 
 def serialize_bipartite(g: BipartiteGraph, comments: tuple[str, ...] | list[str] = ()) -> str:
-    lines = _comment_block(comments)
-    lines.append(f"p bip {g.n_a} {g.n_b} {len(g.edges)} {g.t}")
-    lines.extend(_weight_lines(g.weights))
-    lines.extend(f"e {a} {b}" for a, b in sorted(g.edges))
-    return "\n".join(lines) + "\n"
+    return _serialize_two_sided(g, "bip", comments)
 
 
 def serialize_split(h: SplitGraph, comments: tuple[str, ...] | list[str] = ()) -> str:
-    lines = _comment_block(comments)
-    lines.append(f"p split {h.n_clique} {h.n_indep} {len(h.cross_edges)} {h.t}")
-    lines.extend(_weight_lines(h.weights))
-    lines.extend(f"e {c} {i}" for c, i in sorted(h.cross_edges))
-    return "\n".join(lines) + "\n"
+    return _serialize_two_sided(h, "split", comments)
 
 
 def serialize_hypergraph(hy: Hypergraph, comments: tuple[str, ...] | list[str] = ()) -> str:
@@ -220,8 +201,6 @@ def sniff_format(text: str | bytes) -> str:
 def parse_auto(text: str | bytes) -> BipartiteGraph | SplitGraph | Hypergraph:
     """Parse any of the three formats, dispatching on the header."""
     kind = sniff_format(text)
-    if kind == "bip":
-        return parse_bipartite(text)
-    if kind == "split":
-        return parse_split(text)
-    return parse_hypergraph(text)
+    if kind == "hyp":
+        return parse_hypergraph(text)
+    return _parse_two_sided(text, kind)

@@ -5,13 +5,21 @@ Vertex ids are 1-based. Bipartite graphs put the A side first (ids
 do the same with the clique side first. Vertex weights are exact
 nonnegative rationals; weight 1 is the default and is never stored.
 
-All types are immutable after construction and safe to share across
-threads. Derived adjacency is precomputed once, sorted, so every
-traversal in the package is deterministic.
+Both graph kinds are one two-sided structure (a split graph leaves its
+clique edges implicit) and share one validator and one set of helpers.
+Adjacency `adj` is a list indexed by id with slot 0 empty; a negative
+index would still read a slot, so callers bounds-check with
+`v in g.vertices`.
+
+All types are immutable after construction (`adj` is read-only by
+convention) and safe to share across threads. Derived adjacency is
+precomputed once, sorted, so every traversal in the package is
+deterministic.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -34,16 +42,69 @@ def _canonical_weights(weights: Mapping[int, object] | None, n_total: int) -> di
     return out
 
 
-def _sorted_adjacency(n_total: int, edges: Iterable[Edge]) -> dict[int, tuple[int, ...]]:
-    adj: dict[int, list[int]] = {v: [] for v in range(1, n_total + 1)}
+def _sorted_adjacency(n_total: int, edges: Iterable[Edge]) -> list[tuple[int, ...]]:
+    touched: defaultdict[int, list[int]] = defaultdict(list)
     for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        touched[a].append(b)
+        touched[b].append(a)
+    adj: list[tuple[int, ...]] = [()] * (n_total + 1)
+    for v, ns in touched.items():
+        adj[v] = tuple(sorted(ns))
+    return adj
+
+
+class _TwoSided:
+    """Validation, weights and adjacency shared by both two-sided graph kinds.
+
+    A subclass is a frozen dataclass whose fields start with the two
+    side sizes and the edge set, named in `_fields`, and go on with `t`,
+    `weights` and `adj`; `_labels` names the two sides in error messages.
+    """
+
+    _fields: tuple[str, str, str]
+    _labels: tuple[str, str]
+
+    def __post_init__(self) -> None:
+        size1, size2, edges_field = self._fields
+        n1, n2 = getattr(self, size1), getattr(self, size2)
+        if self.t < 3:
+            raise ValueError(f"claw parameter t must be >= 3, got {self.t}")
+        if n1 < 0 or n2 < 0:
+            raise ValueError("side sizes must be nonnegative")
+        n = n1 + n2
+        edges = frozenset((int(u), int(v)) for u, v in getattr(self, edges_field))
+        for u, v in edges:
+            if not 1 <= u <= n1:
+                raise ValueError(f"{self._labels[0]} index {u} out of range 1..{n1}")
+            if not n1 < v <= n:
+                raise ValueError(f"{self._labels[1]} index {v} out of range {n1 + 1}..{n}")
+        object.__setattr__(self, edges_field, edges)
+        object.__setattr__(self, "weights", _canonical_weights(self.weights, n))
+        object.__setattr__(self, "adj", _sorted_adjacency(n, edges))
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.adj) - 1
+
+    @property
+    def vertices(self) -> range:
+        return range(1, len(self.adj))
+
+    @property
+    def sides(self) -> tuple[range, range]:
+        """The first and the second side, as id ranges."""
+        n1 = getattr(self, self._fields[0])
+        return range(1, n1 + 1), range(n1 + 1, len(self.adj))
+
+    def weight(self, v: int) -> Fraction:
+        return self.weights.get(v, _ONE)
+
+    def total_weight(self, vs: Iterable[int]) -> Fraction:
+        return sum((self.weight(v) for v in vs), start=Fraction(0))
 
 
 @dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(_TwoSided):
     """Bipartite graph with A-side ids 1..n_a and B-side ids n_a+1..n_a+n_b.
 
     `edges` holds (a, b) pairs, `t` is the claw parameter (>= 3), and
@@ -55,32 +116,10 @@ class BipartiteGraph:
     edges: frozenset[Edge]
     t: int
     weights: Mapping[int, object] | None = None
-    adj: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    adj: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.t < 3:
-            raise ValueError(f"claw parameter t must be >= 3, got {self.t}")
-        if self.n_a < 0 or self.n_b < 0:
-            raise ValueError("side sizes must be nonnegative")
-        edges = frozenset((int(a), int(b)) for a, b in self.edges)
-        for a, b in edges:
-            if not 1 <= a <= self.n_a:
-                raise ValueError(f"A-side index {a} out of range 1..{self.n_a}")
-            if not self.n_a + 1 <= b <= self.n_a + self.n_b:
-                raise ValueError(
-                    f"B-side index {b} out of range {self.n_a + 1}..{self.n_a + self.n_b}"
-                )
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "weights", _canonical_weights(self.weights, self.n_vertices))
-        object.__setattr__(self, "adj", _sorted_adjacency(self.n_vertices, edges))
-
-    @property
-    def n_vertices(self) -> int:
-        return self.n_a + self.n_b
-
-    @property
-    def vertices(self) -> range:
-        return range(1, self.n_vertices + 1)
+    _fields = ("n_a", "n_b", "edges")
+    _labels = ("A-side", "B-side")
 
     @property
     def a_side(self) -> range:
@@ -88,17 +127,11 @@ class BipartiteGraph:
 
     @property
     def b_side(self) -> range:
-        return range(self.n_a + 1, self.n_vertices + 1)
-
-    def weight(self, v: int) -> Fraction:
-        return self.weights.get(v, _ONE)
-
-    def total_weight(self, vs: Iterable[int]) -> Fraction:
-        return sum((self.weight(v) for v in vs), start=Fraction(0))
+        return range(self.n_a + 1, len(self.adj))
 
 
 @dataclass(frozen=True)
-class SplitGraph:
+class SplitGraph(_TwoSided):
     """Split graph: clique side ids 1..n_clique, independent side after it.
 
     Only cross edges (clique id, independent id) are stored; every pair
@@ -111,32 +144,10 @@ class SplitGraph:
     cross_edges: frozenset[Edge]
     t: int
     weights: Mapping[int, object] | None = None
-    adj: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    adj: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.t < 3:
-            raise ValueError(f"claw parameter t must be >= 3, got {self.t}")
-        if self.n_clique < 0 or self.n_indep < 0:
-            raise ValueError("side sizes must be nonnegative")
-        cross = frozenset((int(c), int(i)) for c, i in self.cross_edges)
-        for c, i in cross:
-            if not 1 <= c <= self.n_clique:
-                raise ValueError(f"clique index {c} out of range 1..{self.n_clique}")
-            if not self.n_clique + 1 <= i <= self.n_vertices:
-                raise ValueError(
-                    f"independent index {i} out of range {self.n_clique + 1}..{self.n_vertices}"
-                )
-        object.__setattr__(self, "cross_edges", cross)
-        object.__setattr__(self, "weights", _canonical_weights(self.weights, self.n_vertices))
-        object.__setattr__(self, "adj", _sorted_adjacency(self.n_vertices, cross))
-
-    @property
-    def n_vertices(self) -> int:
-        return self.n_clique + self.n_indep
-
-    @property
-    def vertices(self) -> range:
-        return range(1, self.n_vertices + 1)
+    _fields = ("n_clique", "n_indep", "cross_edges")
+    _labels = ("clique", "independent")
 
     @property
     def clique_side(self) -> range:
@@ -144,16 +155,7 @@ class SplitGraph:
 
     @property
     def indep_side(self) -> range:
-        return range(self.n_clique + 1, self.n_vertices + 1)
-
-    def cross_neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
-    def weight(self, v: int) -> Fraction:
-        return self.weights.get(v, _ONE)
-
-    def total_weight(self, vs: Iterable[int]) -> Fraction:
-        return sum((self.weight(v) for v in vs), start=Fraction(0))
+        return range(self.n_clique + 1, len(self.adj))
 
 
 @dataclass(frozen=True)
@@ -207,19 +209,11 @@ def vertex_degrees(hy: Hypergraph) -> dict[int, int]:
     return deg
 
 
-def degree(g: BipartiteGraph, v: int, restricted_to: Iterable[Edge] | None = None) -> int:
-    """Degree of `v`, optionally counted only inside an edge subset."""
+def degree(g: BipartiteGraph, v: int) -> int:
+    """Degree of `v`."""
     if v not in g.vertices:
         raise ValueError(f"vertex {v} out of range")
-    if restricted_to is None:
-        return len(g.adj[v])
-    count = 0
-    for e in set(restricted_to):
-        if e not in g.edges:
-            raise ValueError(f"foreign edge {e}")
-        if v in e:
-            count += 1
-    return count
+    return len(g.adj[v])
 
 
 def incident_edges(g: BipartiteGraph, v: int) -> frozenset[Edge]:
@@ -234,14 +228,11 @@ def incident_edges(g: BipartiteGraph, v: int) -> frozenset[Edge]:
 def incident_edges_within(g: BipartiteGraph, v: int, subset: Iterable[int]) -> frozenset[Edge]:
     """Edges from `v` to the rest of `subset`; `v` must lie in `subset`."""
     vs = set(subset)
+    if v not in g.vertices:
+        raise ValueError(f"vertex {v} out of range")
     if v not in vs:
         raise ValueError(f"vertex {v} not in the given subset")
     if v <= g.n_a:
         return frozenset((v, b) for b in g.adj[v] if b in vs)
     return frozenset((a, v) for a in g.adj[v] if a in vs)
 
-
-def induced_edges(g: BipartiteGraph, subset: Iterable[int]) -> frozenset[Edge]:
-    """Edges of `g` with both endpoints in `subset`."""
-    vs = set(subset)
-    return frozenset((a, b) for a, b in g.edges if a in vs and b in vs)

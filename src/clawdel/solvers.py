@@ -98,7 +98,7 @@ def theta_of_solution(g: BipartiteGraph, solution: Iterable[int]) -> Fraction:
             return Fraction(0)
         raise ValueError("theta undefined: graph is claw free but solution is nonempty")
     for v in sol:
-        if v not in g.adj:
+        if v not in g.vertices:
             raise ValueError(f"vertex {v} out of range")
     return Fraction(sum(coeff[v] for v in sol), total)
 
@@ -190,7 +190,7 @@ def local_ratio_solve(g: BipartiteGraph) -> SolveReport:
     the lowest centre with its lowest t alive neighbours. Centres only
     disappear as vertices are removed, so the lowest one only moves up.
     """
-    residual = {v: g.weight(v) for v in g.vertices}
+    residual = [g.weight(v) for v in range(g.n_vertices + 1)]  # by id; slot 0 unused
     state = DegreeState(g)
     selected: list[int] = []
     rounds = 0
@@ -255,10 +255,7 @@ def max_subgraph_solve(g: BipartiteGraph | SplitGraph) -> tuple[tuple[int, ...],
     report, _ = solve(g, "primal-dual")
     deleted = set(report.solution)
     remainder = [v for v in g.vertices if v not in deleted]
-    if isinstance(g, BipartiteGraph):
-        candidates = [remainder, list(g.a_side), list(g.b_side)]
-    else:
-        candidates = [remainder, list(g.clique_side), list(g.indep_side)]
+    candidates = [remainder, *map(list, g.sides)]
     best = max(range(3), key=lambda i: (g.total_weight(candidates[i]), -i))
     pick = candidates[best]
     return tuple(sorted(pick)), g.total_weight(pick)

@@ -87,6 +87,12 @@ def test_solve_parse_error_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_solve_non_ascii_integer_tokens_exit_2(tmp_path, capsys):
+    instance = write(tmp_path / "bad.bip", "p bip 1_0 \u0663 1 3\ne +1 1_1\n")
+    assert main(["solve", "--alg", "primal-dual", "--input", instance]) == 2
+    assert capsys.readouterr().err == "error: line 1: header field is not an integer: '1_0'\n"
+
+
 def test_solve_oracle_guard_exits_3(tmp_path, capsys):
     instance = write(tmp_path / "big.bip", thirteen_stars())
     assert main(["solve", "--alg", "exact", "--input", instance]) == 3

@@ -144,6 +144,14 @@ def test_ids_outside_the_graph_behave_like_the_reference():
     for order in ([1, 99], [99, 1, 0], [2, 3, -1]):
         assert reverse_delete(star, order) == ref.reverse_delete(star, order)
         assert is_minimal(star, order) == ref.is_minimal(star, order)
+    outside = [-1, 0, star.n_vertices + 1]
+    state, fresh = claws.DegreeState(star, removed=outside), claws.DegreeState(star)
+    assert (state.alive, state.deg, state.centres) == (fresh.alive, fresh.deg, fresh.centres)
+    assert bool(state.centres) == (claws.find_claw(star, outside) is not None)
+    for v in outside:
+        assert state.can_restore(v)
+        state.restore(v)
+    assert (state.alive, state.deg, state.centres) == (fresh.alive, fresh.deg, fresh.centres)
 
 
 def test_theta_closed_form_matches_polymatroid_context():
@@ -162,8 +170,9 @@ def test_theta_closed_form_matches_polymatroid_context():
         assert theta_of_solution(g, subset) == Fraction(numer, total)
         assert theta_of_solution(g, subset + subset) == Fraction(numer, total)
     g = next(g for g in INSTANCES if claws.find_claw(g) is not None)
-    with pytest.raises(ValueError, match="out of range"):
-        theta_of_solution(g, [g.n_vertices + 1])
+    for bad in (-1, 0, g.n_vertices + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            theta_of_solution(g, [bad])
 
 
 def _count_calls(monkeypatch):

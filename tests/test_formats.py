@@ -42,6 +42,16 @@ def test_parse_empty_graph():
         ("p bogus 1 1 1 3", "line 1"),
         ("p bip 1 1 1 2\ne 1 2", "line 1"),
         ("", "empty input"),
+        ("p bip 1_0 \u0663 1 3\ne +1 1_1", "line 1: header field is not an integer: '1_0'"),
+        ("p bip 1 \u0663 1 3\ne 1 2", "line 1: header field is not an integer: '\u0663'"),
+        ("p bip 1 1 1 +3\ne 1 2", "line 1: header field is not an integer: '+3'"),
+        ("p bip 1 1 1 3\ne +1 2", "line 2: edge endpoint is not an integer: '+1'"),
+        ("p bip 1 1 1 3\ne 1 \uff12", "line 2: edge endpoint is not an integer: '\uff12'"),
+        ("p bip 1 1 1 3\ne - 2", "line 2: edge endpoint is not an integer: '-'"),
+        ("p bip 1 1 1 3\nn 1_0 2\ne 1 2", "line 2: vertex id is not an integer: '1_0'"),
+        ("p bip -1 1 0 3", "line 1: header counts must be nonnegative"),
+        ("p bip 1 1 1 3\ne -1 2", "line 2: index -1 out of A-side range"),
+        ("p bip 1 1 1 3\ne 1 -2", "line 2: index -2 out of B-side range"),
     ],
 )
 def test_parse_bipartite_errors(text, fragment):
@@ -72,6 +82,9 @@ def test_parse_hypergraph(hy1):
     assert "duplicate" in str(err.value)
     with pytest.raises(ParseError):
         parse_hypergraph("p hyp 6 1 3\nh 1 2")
+    with pytest.raises(ParseError) as err:
+        parse_hypergraph("p hyp 6 1 3\nh 1 2 +3")
+    assert "line 2: hyperedge vertex is not an integer: '+3'" in str(err.value)
 
 
 def test_comments_and_blank_lines_ignored(g1):

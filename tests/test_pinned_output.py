@@ -6,7 +6,10 @@ holds the recorded `solve --json` output (time_ms masked), the
 `--trace` text, the exit codes, the stderr text and the `bench` CSV for
 every algorithm on the seed-42 determinism instances, the g1/h2
 fixtures and a split instance whose shadow solution fails on the split
-graph. Any diff here is a change of the CLI contract.
+graph. It also holds the `gen` bytes of the generated instances, the
+`reduce` output and map bytes of both split reductions, and the exit
+code and stderr of `solve` on malformed `p bip` and `p split` text.
+Any diff here is a change of the CLI contract.
 """
 
 import contextlib
@@ -66,6 +69,14 @@ def solve_trace(path, trace):
     code, _, err = run(["solve", "--alg", "primal-dual", "--input", str(path),
                         "--trace", str(trace)])
     return code, trace.read_text(encoding="utf-8") if trace.exists() else None, err
+
+
+def reduce_outputs(path, kind, directory):
+    out, rmap = directory / f"reduced-{kind}.txt", directory / f"reduced-{kind}.map"
+    code, stdout, err = run(["reduce", "--kind", kind, "--input", str(path),
+                             "--output", str(out), "--map", str(rmap)])
+    return (code, stdout, err, out.read_text(encoding="utf-8"),
+            rmap.read_text(encoding="utf-8"))
 
 
 def bench_csv(directory, csv_path):
@@ -206,3 +217,63 @@ def test_trace_is_pinned(suite, tmp_path, name):
 
 def test_bench_csv_is_pinned(suite, tmp_path):
     assert bench_csv(suite, tmp_path / "bench.csv") == (0, "", BENCH_STDERR, BENCH_CSV)
+
+
+GEN = {
+    'bip-dense.bip': '# gen bip-dense seed=42 t=3 na=3 nb=8 weights=uniform:1:5 rng=mersenne-twister\np bip 3 8 17 3\nn 1 5\nn 2 4\nn 3 2\nn 4 4\nn 5 5\nn 6 3\nn 8 2\nn 9 4\nn 10 3\nn 11 3\ne 1 4\ne 1 5\ne 1 6\ne 1 9\ne 2 4\ne 2 6\ne 2 8\ne 2 9\ne 2 10\ne 3 4\ne 3 5\ne 3 6\ne 3 7\ne 3 8\ne 3 9\ne 3 10\ne 3 11\n',
+    'bip-random.bip': '# gen bip-random seed=42 t=3 m=10 na=4 nb=6 weights=uniform:1:5 rng=mersenne-twister\np bip 4 6 10 3\nn 1 4\nn 5 2\nn 6 2\nn 7 5\nn 8 5\nn 10 5\ne 1 5\ne 1 7\ne 1 8\ne 1 9\ne 2 6\ne 2 7\ne 2 8\ne 4 6\ne 4 7\ne 4 9\n',
+    'instance.bip': '# gen bip-dense seed=42 t=3 na=3 nb=6 weights=unit rng=mersenne-twister\np bip 3 6 16 3\ne 1 4\ne 1 5\ne 1 6\ne 1 7\ne 1 8\ne 1 9\ne 2 4\ne 2 5\ne 2 6\ne 2 7\ne 2 8\ne 2 9\ne 3 4\ne 3 5\ne 3 6\ne 3 8\n',
+    'instance.split': '# gen split-random seed=42 t=3 m=10 nc=2 ni=5 weights=unit rng=mersenne-twister\np split 2 5 10 3\ne 1 3\ne 1 4\ne 1 5\ne 1 6\ne 1 7\ne 2 3\ne 2 4\ne 2 5\ne 2 6\ne 2 7\n',
+    'split-random.split': '# gen split-random seed=42 t=3 m=8 nc=3 ni=5 weights=uniform:1:5 rng=mersenne-twister\np split 3 5 8 3\nn 2 5\nn 4 5\nn 5 4\ne 1 4\ne 1 5\ne 1 6\ne 1 7\ne 1 8\ne 2 8\ne 3 4\ne 3 5\n',
+}
+REDUCE = {
+    ('osbcd-split', 'bip-random.bip'): (0, '', '', 'p split 4 6 10 3\nn 1 4\nn 5 2\nn 6 2\nn 7 5\nn 8 5\nn 10 5\ne 1 5\ne 1 7\ne 1 8\ne 1 9\ne 2 6\ne 2 7\ne 2 8\ne 4 6\ne 4 7\ne 4 9\n', 'map osbcd-split\ng clique 1 4\ng independent 5 10\noffset 0\n'),
+    ('osbcd-split', 'bip-dense.bip'): (0, '', '', 'p split 3 8 17 3\nn 1 5\nn 2 4\nn 3 2\nn 4 4\nn 5 5\nn 6 3\nn 8 2\nn 9 4\nn 10 3\nn 11 3\ne 1 4\ne 1 5\ne 1 6\ne 1 9\ne 2 4\ne 2 6\ne 2 8\ne 2 9\ne 2 10\ne 3 4\ne 3 5\ne 3 6\ne 3 7\ne 3 8\ne 3 9\ne 3 10\ne 3 11\n', 'map osbcd-split\ng clique 1 3\ng independent 4 11\noffset 0\n'),
+    ('split-osbcd', 'split-random.split'): (0, '', '', 'p bip 3 5 8 3\nn 2 5\nn 4 5\nn 5 4\ne 1 4\ne 1 5\ne 1 6\ne 1 7\ne 1 8\ne 2 8\ne 3 4\ne 3 5\n', 'map split-osbcd\ng A 1 3\ng B 4 8\noffset 0\n'),
+    ('split-osbcd', 'mismatch.split'): (0, '', 'warning: split graph has a claw with a clique-vertex leaf; the bipartite shadow is claw free\n', 'p bip 2 2 2 3\ne 1 3\ne 1 4\n', '# warning: split graph has a claw with a clique-vertex leaf; the bipartite shadow is claw free\nmap split-osbcd\ng A 1 2\ng B 3 4\noffset 0\n'),
+}
+MALFORMED = {
+    "bip-a-range": "p bip 2 3 1 3\ne 3 4\n",
+    "bip-b-range": "p bip 2 3 1 3\ne 1 6\n",
+    "bip-duplicate": "p bip 2 3 2 3\ne 1 3\ne 1 3\n",
+    "bip-weight": "p bip 2 3 1 3\nn 4 x\ne 1 3\n",
+    "bip-count": "p bip 2 3 2 3\ne 1 3\n",
+    "bip-t2": "p bip 2 3 1 2\ne 1 3\n",
+    "split-clique-range": "p split 2 3 1 3\ne 0 4\n",
+    "split-indep-range": "p split 2 3 1 3\ne 1 2\n",
+    "split-duplicate": "p split 2 3 2 3\ne 2 5\ne 2 5\n",
+    "split-weight": "p split 2 3 1 3\nn 1 1/0\ne 1 3\n",
+    "split-count": "p split 2 3 0 3\ne 1 3\n",
+    "split-t2": "p split 2 3 1 2\ne 1 3\n",
+}
+MALFORMED_SOLVE = {
+    'bip-a-range': (2, '', 'error: line 2: index 3 out of A-side range\n'),
+    'bip-b-range': (2, '', 'error: line 2: index 6 out of B-side range\n'),
+    'bip-count': (2, '', 'error: header declares 2 edges but 1 were listed\n'),
+    'bip-duplicate': (2, '', 'error: line 3: duplicate edge (1, 3)\n'),
+    'bip-t2': (2, '', 'error: line 1: claw parameter t must be >= 3, got 2\n'),
+    'bip-weight': (2, '', "error: line 2: bad weight 'x' (expected 'k' or 'p/q')\n"),
+    'split-clique-range': (2, '', 'error: line 2: index 0 out of clique-side range\n'),
+    'split-count': (2, '', 'error: header declares 0 edges but 1 were listed\n'),
+    'split-duplicate': (2, '', 'error: line 3: duplicate edge (2, 5)\n'),
+    'split-indep-range': (2, '', 'error: line 2: index 2 out of independent-side range\n'),
+    'split-t2': (2, '', 'error: line 1: claw parameter t must be >= 3, got 2\n'),
+    'split-weight': (2, '', "error: line 2: bad weight '1/0' (expected 'k' or 'p/q')\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_gen_output_is_pinned(suite, name):
+    assert (suite / name).read_text(encoding="utf-8") == GEN[name]
+
+
+@pytest.mark.parametrize("kind,name", sorted(REDUCE))
+def test_reduce_output_is_pinned(suite, tmp_path, kind, name):
+    assert reduce_outputs(suite / name, kind, tmp_path) == REDUCE[kind, name]
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_solve_is_pinned(tmp_path, name):
+    path = tmp_path / name
+    path.write_text(MALFORMED[name], encoding="utf-8")
+    assert run(["solve", "--alg", "primal-dual", "--input", str(path)]) == MALFORMED_SOLVE[name]
