@@ -10,7 +10,8 @@ allows at most one clique vertex among them.
 `DegreeState` keeps those surviving A-degrees as vertices are deleted
 and put back, so the bipartite solvers, `reverse_delete` and
 `is_minimal` test feasibility in O(degree) instead of rescanning every
-edge; split graphs are rescanned with `find_claw_split`.
+edge; split graphs are rescanned with `find_claw_split`. A solver
+that ends on a claw-free `DegreeState` runs `prune` on it directly.
 """
 
 from __future__ import annotations
@@ -76,17 +77,13 @@ def find_claw_split(h: SplitGraph, removed: Iterable[int] = ()) -> ClawWitness |
     return None
 
 
-def _find(g: BipartiteGraph | SplitGraph, removed: Iterable[int]) -> ClawWitness | None:
-    if isinstance(g, BipartiteGraph):
-        return find_claw(g, removed)
-    if isinstance(g, SplitGraph):
-        return find_claw_split(g, removed)
-    raise TypeError(f"expected a bipartite or split graph, got {type(g).__name__}")
-
-
 def is_feasible(g: BipartiteGraph | SplitGraph, solution: Iterable[int]) -> bool:
     """True iff removing `solution` leaves the graph claw free."""
-    return _find(g, solution) is None
+    if isinstance(g, BipartiteGraph):
+        return find_claw(g, solution) is None
+    if isinstance(g, SplitGraph):
+        return find_claw_split(g, solution) is None
+    raise TypeError(f"expected a bipartite or split graph, got {type(g).__name__}")
 
 
 class DegreeState:
@@ -203,26 +200,31 @@ def _restore_test(g: BipartiteGraph | SplitGraph, removed: set[int], infeasible:
 def is_minimal(g: BipartiteGraph | SplitGraph, solution: Iterable[int]) -> bool:
     """True iff `solution` is feasible and no proper subset is.
 
-    Raises ValueError when `solution` is not feasible to begin with.
+    That is, reverse deletion keeps all of it. Raises ValueError when
+    `solution` is not feasible to begin with.
     """
-    sol = set(solution)
-    can_restore, _ = _restore_test(g, sol, "solution is not feasible")
-    return not any(can_restore(v) for v in sorted(sol))
+    sol = sorted(set(solution))
+    return prune(sol, *_restore_test(g, set(sol), "solution is not feasible")) == sol
 
 
-def reverse_delete(g: BipartiteGraph | SplitGraph, ordered: Sequence[int]) -> list[int]:
-    """Prune `ordered` (in addition order) down to a minimal feasible set.
+def prune(ordered: Sequence[int], can_restore, restore) -> list[int]:
+    """Reverse deletion on a claw-free state in which exactly `ordered` is removed.
 
-    Scans in reverse addition order and drops every vertex whose removal
-    keeps the set feasible. Raises ValueError when the input itself is
-    infeasible.
+    Brings back, latest addition first, every vertex that `can_restore`
+    allows; returns the rest in addition order.
     """
     kept = set(ordered)
-    can_restore, restore = _restore_test(
-        g, kept, "reverse deletion requires a feasible input set"
-    )
     for v in reversed(ordered):
         if v in kept and can_restore(v):
             restore(v)
             kept.discard(v)
     return [v for v in ordered if v in kept]
+
+
+def reverse_delete(g: BipartiteGraph | SplitGraph, ordered: Sequence[int]) -> list[int]:
+    """Prune `ordered` (in addition order) down to a minimal feasible set.
+
+    Raises ValueError when the input itself is infeasible.
+    """
+    msg = "reverse deletion requires a feasible input set"
+    return prune(ordered, *_restore_test(g, set(ordered), msg))

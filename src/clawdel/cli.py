@@ -28,6 +28,7 @@ from pathlib import Path
 from .claws import is_feasible, is_minimal
 from .formats import (
     ParseError,
+    int_field,
     parse_auto,
     serialize_bipartite,
     serialize_hypergraph,
@@ -196,7 +197,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load_deletion_instance(args.input)
     try:
         tokens = Path(args.solution).read_text(encoding="utf-8").split()
-        solution = sorted({int(tok) for tok in tokens})
+        solution = sorted({int_field(tok, "vertex id", None) for tok in tokens})
     except OSError as exc:
         raise _CliError(f"cannot read {args.solution}: {exc}", 2) from exc
     except ValueError:

@@ -53,7 +53,7 @@ def _lines(text: str | bytes) -> Iterator[tuple[int, list[str]]]:
         yield line_no, stripped.split()
 
 
-def _int_field(token: str, what: str, line_no: int) -> int:
+def int_field(token: str, what: str, line_no: int | None) -> int:
     if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
         return int(token)
     raise ParseError(f"{what} is not an integer: {token!r}", line_no)
@@ -62,7 +62,7 @@ def _int_field(token: str, what: str, line_no: int) -> int:
 def _parse_header(tokens: list[str], line_no: int, kind: str, n_fields: int) -> list[int]:
     if len(tokens) != 2 + n_fields or tokens[0] != "p" or tokens[1] != kind:
         raise ParseError(f"expected header 'p {kind}' with {n_fields} counts", line_no)
-    values = [_int_field(tok, "header field", line_no) for tok in tokens[2:]]
+    values = [int_field(tok, "header field", line_no) for tok in tokens[2:]]
     if any(v < 0 for v in values):
         raise ParseError("header counts must be nonnegative", line_no)
     return values
@@ -89,7 +89,7 @@ def _parse_two_sided(text: str | bytes, kind: str) -> BipartiteGraph | SplitGrap
         if tokens[0] == "n":
             if len(tokens) != 3:
                 raise ParseError("weight line needs 'n <id> <weight>'", line_no)
-            v = _int_field(tokens[1], "vertex id", line_no)
+            v = int_field(tokens[1], "vertex id", line_no)
             if not 1 <= v <= n_total:
                 raise ParseError(f"vertex id {v} out of range 1..{n_total}", line_no)
             if v in weights:
@@ -100,8 +100,8 @@ def _parse_two_sided(text: str | bytes, kind: str) -> BipartiteGraph | SplitGrap
         elif tokens[0] == "e":
             if len(tokens) != 3:
                 raise ParseError("edge line needs 'e <u> <v>'", line_no)
-            u = _int_field(tokens[1], "edge endpoint", line_no)
-            v = _int_field(tokens[2], "edge endpoint", line_no)
+            u = int_field(tokens[1], "edge endpoint", line_no)
+            v = int_field(tokens[2], "edge endpoint", line_no)
             if not 1 <= u <= n1:
                 raise ParseError(f"index {u} out of {first_side} range", line_no)
             if not n1 < v <= n_total:
@@ -142,7 +142,7 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
             raise ParseError(f"unknown line kind {toks[0]!r}", line_no)
         if len(toks) != 1 + t:
             raise ParseError(f"hyperedge line needs exactly {t} vertex ids", line_no)
-        vs = tuple(sorted(_int_field(tok, "hyperedge vertex", line_no) for tok in toks[1:]))
+        vs = tuple(sorted(int_field(tok, "hyperedge vertex", line_no) for tok in toks[1:]))
         if len(set(vs)) != t:
             raise ParseError("hyperedge vertices must be distinct", line_no)
         for v in vs:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .claws import find_claw, find_claw_split
+from .formats import int_field
 from .graphs import BipartiteGraph, Edge, Hypergraph, SplitGraph, vertex_degrees
 
 ADVISORY_ORACLE_LIMIT = 12
@@ -60,20 +61,17 @@ def read_map(text: str) -> ReductionMap:
     warnings: list[str] = []
     for raw in text.split("\n"):
         line = raw.strip()
-        if not line:
-            continue
+        tokens = line.split()
         if line.startswith("# warning:"):
             warnings.append(line[len("# warning:"):].strip())
+        elif not line or line.startswith("#"):
             continue
-        if line.startswith("#"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "map" and len(tokens) == 2:
+        elif tokens[0] == "map" and len(tokens) == 2:
             kind = tokens[1]
         elif tokens[0] == "g" and len(tokens) == 4:
-            groups.append((tokens[1], int(tokens[2]), int(tokens[3])))
+            groups.append((tokens[1], *(int_field(tok, "group bound", None) for tok in tokens[2:])))
         elif tokens[0] == "offset" and len(tokens) == 2:
-            offset = int(tokens[1])
+            offset = int_field(tokens[1], "offset", None)
         else:
             raise ValueError(f"bad sidecar line: {line!r}")
     if kind is None:

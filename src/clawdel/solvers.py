@@ -14,6 +14,8 @@ plus a few integers updated as vertices leave S, and a heap orders the
 exact raise level at which each vertex becomes tight. All arithmetic is
 exact rationals; no floating point touches any solver path.
 
+The deletion solvers share one finish step, `_finish`: reverse deletion
+on the solver's own claw-free `DegreeState`, then cost, θ and report.
 `solve(g, algorithm)` is the one entry point: it picks the solver by
 name and solves a split graph through its cross-edge bipartite shadow.
 """
@@ -27,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import reductions
-from .claws import DegreeState, find_claw_split, reverse_delete
+from .claws import DegreeState, find_claw_split, prune, reverse_delete  # noqa: F401 (re-export)
 from .graphs import BipartiteGraph, SplitGraph
 
 
@@ -86,21 +88,37 @@ def theta_of_solution(g: BipartiteGraph, solution: Iterable[int]) -> Fraction:
 
     Returns sum(dual_rank(delta(v))) / dual_rank(E), in closed form: an
     A-vertex of degree >= t contributes 2 * (deg - t + 1), a B-vertex
-    twice its number of such neighbours. A claw-free graph has
-    dual_rank(E) = 0; the ratio is then 0 for the empty solution and
-    undefined (ValueError) otherwise.
+    twice its number of such neighbours, read off `g.adj` in O(n_A +
+    the solution's degree sum). A claw-free graph has dual_rank(E) = 0;
+    the ratio is then 0 for the empty solution and undefined
+    (ValueError) otherwise.
     """
-    coeff = DegreeState(g).coefficients()
-    total = sum(coeff[: g.n_a + 1])
+    t, adj = g.t, g.adj
+    total = sum(2 * (d - t + 1) for d in map(len, adj[1 : g.n_a + 1]) if d >= t)
     sol = sorted(set(solution))
     if total == 0:
         if not sol:
             return Fraction(0)
         raise ValueError("theta undefined: graph is claw free but solution is nonempty")
+    numer = 0
     for v in sol:
         if v not in g.vertices:
             raise ValueError(f"vertex {v} out of range")
-    return Fraction(sum(coeff[v] for v in sol), total)
+        if v <= g.n_a:
+            numer += max(len(adj[v]) - t + 1, 0)
+        else:
+            numer += sum(len(adj[a]) >= t for a in adj[v])
+    return Fraction(2 * numer, total)
+
+
+def _finish(state: DegreeState, selected: list[int], lower: Fraction, algorithm: str,
+            iterations: int) -> SolveReport:
+    """Prune `selected` on the claw-free `state` in which exactly it is removed; report."""
+    g = state.g
+    solution = sorted(prune(selected, state.can_restore, state.restore))
+    return SolveReport(solution=tuple(solution), cost=g.total_weight(solution),
+                       dual_lower_bound=lower, theta=theta_of_solution(g, solution),
+                       algorithm=algorithm, iterations=iterations)
 
 
 def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
@@ -166,17 +184,7 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
         for v, c in before.items():
             tight_at[v] = raised + (tight_at[v] - raised) * c / coeff[v] if coeff[v] else None
 
-    solution = reverse_delete(g, selected)
-    cost = g.total_weight(solution)
-    report = SolveReport(
-        solution=tuple(sorted(solution)),
-        cost=cost,
-        dual_lower_bound=dual_lb,
-        theta=theta_of_solution(g, solution),
-        algorithm="primal-dual",
-        iterations=len(trace),
-    )
-    return report, trace
+    return _finish(state, selected, dual_lb, "primal-dual", len(trace)), trace
 
 
 def local_ratio_solve(g: BipartiteGraph) -> SolveReport:
@@ -211,53 +219,43 @@ def local_ratio_solve(g: BipartiteGraph) -> SolveReport:
                 state.remove(v)
                 selected.append(v)
 
-    solution = reverse_delete(g, selected)
-    return SolveReport(
-        solution=tuple(sorted(solution)),
-        cost=g.total_weight(solution),
-        dual_lower_bound=lower,
-        theta=theta_of_solution(g, solution),
-        algorithm="local-ratio",
-        iterations=rounds,
-    )
+    return _finish(state, selected, lower, "local-ratio", rounds)
 
 
 def exact_solve(g: BipartiteGraph) -> SolveReport:
     """Exact minimum-weight deletion, packaged like the other solvers.
 
-    The oracle's minimum set is pruned to a minimal one (only
-    zero-weight vertices can ever be dropped, so the cost is still the
-    optimum), and the reported lower bound is the optimum itself.
+    The oracle's minimum set must be feasible. It is pruned to a minimal
+    one (only zero-weight vertices can ever be dropped, so the cost is
+    still the optimum), and the reported lower bound is the optimum.
     """
     from .oracle import exact_min_deletion_set
 
-    raw, _ = exact_min_deletion_set(g)
-    minimal = reverse_delete(g, list(raw))
-    return SolveReport(
-        solution=tuple(sorted(minimal)),
-        cost=g.total_weight(minimal),
-        dual_lower_bound=g.total_weight(minimal),
-        theta=theta_of_solution(g, minimal),
-        algorithm="exact",
-        iterations=0,
-    )
+    raw, opt = exact_min_deletion_set(g)
+    state = DegreeState(g, raw)
+    if state.centres:
+        raise ValueError("reverse deletion requires a feasible input set")
+    return _finish(state, list(raw), opt, "exact", 0)
 
 
 def max_subgraph_solve(g: BipartiteGraph | SplitGraph) -> tuple[tuple[int, ...], Fraction]:
     """Heaviest claw-free induced subgraph among V minus S and the two sides.
 
-    S comes from the primal-dual solver. Each side is claw free on its
-    own (A or B of a bipartite graph; the clique side has no induced
-    claws and the independent side no edges), so the winner always
-    induces a claw-free subgraph. Ties prefer V minus S, then the A or
-    clique side.
+    S comes from the primal-dual solver; on a split graph whose shadow
+    solution leaves a split claw, V minus S is no candidate. Each side
+    is claw free on its own (A or B of a bipartite graph; the clique
+    side has no induced claws and the independent side no edges), so
+    the winner always induces a claw-free subgraph. Ties prefer V minus
+    S, then the A or clique side.
     """
-    report, _ = solve(g, "primal-dual")
-    deleted = set(report.solution)
-    remainder = [v for v in g.vertices if v not in deleted]
-    candidates = [remainder, *map(list, g.sides)]
-    best = max(range(3), key=lambda i: (g.total_weight(candidates[i]), -i))
-    pick = candidates[best]
+    candidates = list(map(list, g.sides))
+    try:
+        deleted = set(solve(g, "primal-dual")[0].solution)
+    except ShadowMismatchError:
+        pass
+    else:
+        candidates.insert(0, [v for v in g.vertices if v not in deleted])
+    pick = max(candidates, key=g.total_weight)  # the first of equal weights
     return tuple(sorted(pick)), g.total_weight(pick)
 
 

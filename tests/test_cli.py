@@ -133,6 +133,16 @@ def test_verify_bad_ids_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("token", ["+1", "\u0661", "1_0", "\uff11"])
+def test_verify_rejects_non_ascii_integer_ids(tmp_path, capsys, token):
+    """Solution ids follow the instance rule: ASCII digits with an optional leading '-'."""
+    instance = write(tmp_path / "g1.bip", G1_TEXT)
+    solution = write(tmp_path / "sol.txt", f"2 {token}\n")
+    assert main(["verify", "--input", instance, "--solution", solution]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: solution file must hold whitespace-separated vertex ids\n"
+
+
 def test_reduce_hypergraph_to_bipartite(tmp_path, capsys):
     instance = write(tmp_path / "hy1.hyp", "p hyp 6 2 3\nh 1 2 3\nh 4 5 6\n")
     out = tmp_path / "out.bip"

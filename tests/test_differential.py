@@ -177,7 +177,7 @@ def test_theta_closed_form_matches_polymatroid_context():
 
 def _count_calls(monkeypatch):
     """Count calls of the per-iteration helpers wherever solver code may look them up."""
-    counts = {"PolymatroidContext": 0, "find_claw": 0}
+    counts = {"PolymatroidContext": 0, "find_claw": 0, "DegreeState": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -185,7 +185,8 @@ def _count_calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, name in ((polymatroid, "PolymatroidContext"), (claws, "find_claw")):
+    for module, name in ((polymatroid, "PolymatroidContext"), (claws, "find_claw"),
+                         (claws, "DegreeState")):
         fn = getattr(module, name)
         for site in (module, solvers):
             if getattr(site, name, None) is fn:
@@ -202,11 +203,17 @@ def test_solvers_do_not_rebuild_per_iteration(monkeypatch):
     assert len(steps) >= 100
     assert counts["PolymatroidContext"] >= len(steps) and counts["find_claw"] > len(steps)
 
-    counts.update(PolymatroidContext=0, find_claw=0)
+    # one claw state per solve: reverse deletion and theta build none of their own
+    counts.update(PolymatroidContext=0, find_claw=0, DegreeState=0)
     report, _ = primal_dual_solve(g)
     assert report.iterations == len(steps)
-    assert counts == {"PolymatroidContext": 0, "find_claw": 0}
+    assert counts == {"PolymatroidContext": 0, "find_claw": 0, "DegreeState": 1}
 
+    counts.update(DegreeState=0)
     report = local_ratio_solve(g)
     assert report.iterations >= 100
-    assert counts == {"PolymatroidContext": 0, "find_claw": 0}
+    assert counts == {"PolymatroidContext": 0, "find_claw": 0, "DegreeState": 1}
+
+    counts.update(DegreeState=0)
+    assert theta_of_solution(g, report.solution) == report.theta
+    assert counts["DegreeState"] == 0

@@ -126,11 +126,11 @@ SOLVE = {
     ('mismatch.split', 'primal-dual'): (1, '', 'error: shadow solution [] leaves a split claw with center 1 and leaves [2, 3, 4]\n'),
     ('mismatch.split', 'local-ratio'): (1, '', 'error: shadow solution [] leaves a split claw with center 1 and leaves [2, 3, 4]\n'),
     ('mismatch.split', 'exact'): (1, '', 'error: shadow solution [] leaves a split claw with center 1 and leaves [2, 3, 4]\n'),
-    ('mismatch.split', 'max-subgraph'): (1, '', 'error: shadow solution [] leaves a split claw with center 1 and leaves [2, 3, 4]\n'),
+    ('mismatch.split', 'max-subgraph'): (0, '{"solution": [1, 2], "cost": "2", "lower_bound": null, "theta": null, "algorithm": "max-subgraph", "iterations": 0, "time_ms": 0}\n', ''),
     ('split-random.split', 'primal-dual'): (1, '', 'error: shadow solution [1] leaves a split claw with center 3 and leaves [2, 4, 5]\n'),
     ('split-random.split', 'local-ratio'): (1, '', 'error: shadow solution [1] leaves a split claw with center 3 and leaves [2, 4, 5]\n'),
     ('split-random.split', 'exact'): (1, '', 'error: shadow solution [1] leaves a split claw with center 3 and leaves [2, 4, 5]\n'),
-    ('split-random.split', 'max-subgraph'): (1, '', 'error: shadow solution [1] leaves a split claw with center 3 and leaves [2, 4, 5]\n'),
+    ('split-random.split', 'max-subgraph'): (0, '{"solution": [4, 5, 6, 7, 8], "cost": "12", "lower_bound": null, "theta": null, "algorithm": "max-subgraph", "iterations": 0, "time_ms": 0}\n', ''),
     ('stars.bip', 'primal-dual'): (0, '{"solution": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13], "cost": "13", "lower_bound": "13", "theta": "1", "algorithm": "primal-dual", "iterations": 13, "time_ms": 0}\n', ''),
     ('stars.bip', 'local-ratio'): (0, '{"solution": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13], "cost": "13", "lower_bound": "13", "theta": "1", "algorithm": "local-ratio", "iterations": 13, "time_ms": 0}\n', ''),
     ('stars.bip', 'exact'): (3, '', 'error: too large for oracle: search depth bound 12 exceeded\n'),
@@ -152,11 +152,9 @@ BENCH_STDERR = """\
 warning: mismatch.split [primal-dual]: shadow solution [] leaves a split claw with center 1 and leaves [2, 3, 4]
 warning: mismatch.split [local-ratio]: shadow solution [] leaves a split claw with center 1 and leaves [2, 3, 4]
 warning: mismatch.split [exact]: shadow solution [] leaves a split claw with center 1 and leaves [2, 3, 4]
-warning: mismatch.split [max-subgraph]: shadow solution [] leaves a split claw with center 1 and leaves [2, 3, 4]
 warning: split-random.split [primal-dual]: shadow solution [1] leaves a split claw with center 3 and leaves [2, 4, 5]
 warning: split-random.split [local-ratio]: shadow solution [1] leaves a split claw with center 3 and leaves [2, 4, 5]
 warning: split-random.split [exact]: shadow solution [1] leaves a split claw with center 3 and leaves [2, 4, 5]
-warning: split-random.split [max-subgraph]: shadow solution [1] leaves a split claw with center 3 and leaves [2, 4, 5]
 warning: stars.bip: oracle skipped (size guard)
 warning: stars.bip [exact]: too large for oracle: search depth bound 12 exceeded
 """
@@ -193,11 +191,11 @@ instance.split,max-subgraph,3,5,,5,1,,0
 mismatch.split,primal-dual,3,,,,,,
 mismatch.split,local-ratio,3,,,,,,
 mismatch.split,exact,3,,,,,,
-mismatch.split,max-subgraph,3,,,,,,
+mismatch.split,max-subgraph,3,2,,3,3/2,,0
 split-random.split,primal-dual,3,,,,,,
 split-random.split,local-ratio,3,,,,,,
 split-random.split,exact,3,,,,,,
-split-random.split,max-subgraph,3,,,,,,
+split-random.split,max-subgraph,3,12,,17,17/12,,0
 stars.bip,primal-dual,3,13,13,,,1,0
 stars.bip,local-ratio,3,13,13,,,1,0
 stars.bip,exact,3,,,,,,

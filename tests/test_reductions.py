@@ -178,3 +178,10 @@ def test_sidecar_round_trip(hy1):
     assert parsed.offset == rmap.offset
     g, rmap2 = from_regular_graph_cover(k4())
     assert read_map(write_map(rmap2)).groups == rmap2.groups
+
+
+def test_read_map_rejects_non_ascii_integers():
+    assert read_map("map hvc-osbcd\ng A -1 12\noffset 0\n").groups == (("A", -1, 12),)
+    for line in ("g A +1 2", "g A 1 \u0661", "g A 1_0 12", "offset +3", "offset \uff13"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            read_map(f"map hvc-osbcd\n{line}\n")

@@ -5,6 +5,7 @@ import pytest
 
 from clawdel import (
     BipartiteGraph,
+    GenSpec,
     PolymatroidContext,
     ShadowMismatchError,
     SplitGraph,
@@ -12,6 +13,7 @@ from clawdel import (
     enumerate_minimal_deletion_sets,
     exact_min_deletion_set,
     exact_solve,
+    generate,
     incidence_dual_ranks,
     incident_edges,
     is_feasible,
@@ -233,3 +235,23 @@ def test_split_max_subgraph(h2):
     report, trace = solve(h2, "max-subgraph")
     assert (report.solution, report.cost) == (solution, weight)
     assert report.dual_lower_bound is None and report.theta is None and trace is None
+
+
+def test_split_max_subgraph_keeps_a_claw_free_set():
+    """When the shadow solution S leaves a split claw, V minus S is dropped, not raised on."""
+    mismatches = 0
+    for seed in range(40):
+        sizes = {"nc": 6, "ni": 12, "m": 30}
+        h = generate(GenSpec("split-random", 3, seed, sizes, ("uniform", 1, 9)))
+        report, _ = solve(h, "max-subgraph")
+        kept = set(report.solution)
+        assert is_feasible(h, [v for v in h.vertices if v not in kept])
+        assert report.cost == h.total_weight(kept)
+        try:
+            solve(h, "primal-dual")
+        except ShadowMismatchError:
+            mismatches += 1
+            assert report.solution == tuple(max(h.sides, key=h.total_weight))
+    assert mismatches >= 30
+    tie = SplitGraph(2, 2, frozenset({(1, 3), (1, 4)}), 3)
+    assert max_subgraph_solve(tie) == ((1, 2), 2)  # equal sides: the clique side wins
