@@ -55,25 +55,22 @@ def find_claw_split(h: SplitGraph, removed: Iterable[int] = ()) -> ClawWitness |
     A leaf set is either t independent-side neighbors of the center, or
     one other clique vertex plus t - 1 independent-side neighbors the
     clique leaf is not adjacent to. Deterministic: lowest center first,
-    then the lexicographically smallest sorted leaf tuple.
+    then the lexicographically smallest sorted leaf tuple. A clique leaf
+    is below every independent id, so the lowest clique leaf that works
+    wins over any all-independent leaf set.
     """
     gone = set(removed)
     clique_alive = [c for c in h.clique_side if c not in gone]
+    nbrs = {c: set(h.adj[c]) for c in clique_alive}
     for c in clique_alive:
         ind = [b for b in h.adj[c] if b not in gone]
-        candidates: list[tuple[int, ...]] = []
-        if len(ind) >= h.t:
-            candidates.append(tuple(ind[: h.t]))
         if len(ind) >= h.t - 1:
             for c2 in clique_alive:
-                if c2 == c:
-                    continue
-                c2_nbrs = set(h.adj[c2])
-                avail = [b for b in ind if b not in c2_nbrs]
-                if len(avail) >= h.t - 1:
-                    candidates.append(tuple(sorted([c2] + avail[: h.t - 1])))
-        if candidates:
-            return ClawWitness(c, min(candidates))
+                avail = [b for b in ind if b not in nbrs[c2]]
+                if c2 != c and len(avail) >= h.t - 1:
+                    return ClawWitness(c, (c2, *avail[: h.t - 1]))
+        if len(ind) >= h.t:
+            return ClawWitness(c, tuple(ind[: h.t]))
     return None
 
 

@@ -51,14 +51,6 @@ BENCH_FIELDS = ("instance", "algorithm", "t", "cost", "lower_bound", "opt", "rat
                 "time_ms")
 EXIT_CODES = {ParseError: 2, OracleLimitError: 3, ShadowMismatchError: 1}
 
-FAMILY_SIZES = {
-    "bip-random": ("na", "nb", "m"),
-    "bip-dense": ("na", "nb"),
-    "hyp-uniform": ("n", "m"),
-    "regular-graph": ("n",),
-    "split-random": ("nc", "ni", "m"),
-}
-
 _SERIALIZERS = {
     BipartiteGraph: serialize_bipartite,
     SplitGraph: serialize_split,
@@ -170,7 +162,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     sizes = {}
-    for key in FAMILY_SIZES[args.family]:
+    for key in FAMILIES[args.family][0]:
         value = getattr(args, key)
         if value is None:
             raise _CliError(f"family {args.family} needs --{key}", 2)
@@ -179,7 +171,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         mode: tuple = ("unit",)
     else:
         try:
-            lo, hi = (int(part) for part in args.weights.split(":"))
+            lo, hi = (int_field(part, "weight", None) for part in args.weights.split(":"))
             mode = ("uniform", lo, hi)
         except ValueError:
             raise _CliError("--weights must be 'unit' or 'LO:HI'", 2) from None
@@ -270,6 +262,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_arg(token: str) -> int:
+    """argparse type for gen's integers: the strict rule of `formats.int_field`."""
+    try:
+        return int_field(token, "argument", None)
+    except ParseError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="clawdel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -290,10 +290,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a seeded random instance")
     p_gen.add_argument("--family", required=True, choices=FAMILIES)
-    p_gen.add_argument("--seed", required=True, type=int)
-    p_gen.add_argument("--t", required=True, type=int)
-    for key in ("na", "nb", "m", "n", "nc", "ni"):
-        p_gen.add_argument(f"--{key}", type=int)
+    p_gen.add_argument("--seed", required=True, type=_int_arg)
+    p_gen.add_argument("--t", required=True, type=_int_arg)
+    for key in dict.fromkeys(key for keys, _ in FAMILIES.values() for key in keys):
+        p_gen.add_argument(f"--{key}", type=_int_arg)
     p_gen.add_argument("--weights", default="unit")
     p_gen.add_argument("--output", required=True)
     p_gen.set_defaults(func=_cmd_gen)

@@ -5,6 +5,11 @@ from a Mersenne Twister (the stdlib `random.Random`) in a fixed order,
 structure first, then weights in vertex id order, so identical specs
 serialize to identical bytes. Rejection-sampled families retry up to
 RETRY_CAP times before giving up.
+
+`FAMILIES` is the one table of families: each maps to its size keys,
+in the order the `gen` command takes them, and to its builder.
+`bip-random` and `split-random` share one sampler, `_two_sided_random`,
+which draws m of the n1*n2 cross pairs of either graph class.
 """
 
 from __future__ import annotations
@@ -12,25 +17,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Mapping
 
 from .graphs import BipartiteGraph, Edge, Hypergraph, SplitGraph
 
 RETRY_CAP = 10_000
 
-FAMILIES = ("bip-random", "bip-dense", "hyp-uniform", "regular-graph", "split-random")
-
 
 @dataclass(frozen=True)
 class GenSpec:
     """What to generate.
 
-    `sizes` holds the family-specific counts: na/nb/m for bip-random,
-    na/nb for bip-dense, n/m for hyp-uniform, n for regular-graph,
-    nc/ni/m for split-random. For regular-graph, `t` is the degree of
-    every vertex; elsewhere it is the claw parameter. `weight_mode` is
-    ("unit",) or ("uniform", lo, hi) for integer weights drawn
-    uniformly per vertex.
+    `sizes` holds the counts whose keys `FAMILIES[family]` names. For
+    regular-graph, `t` is the degree of every vertex; elsewhere it is
+    the claw parameter. `weight_mode` is ("unit",) or ("uniform", lo,
+    hi) for integer weights drawn uniformly per vertex.
     """
 
     family: str
@@ -44,12 +46,8 @@ class GenSpec:
             raise ValueError(f"unknown family {self.family!r}")
         object.__setattr__(self, "sizes", dict(self.sizes))
         mode = self.weight_mode
-        if mode[0] == "unit":
-            pass
-        elif mode[0] == "uniform":
-            if len(mode) != 3 or not (0 <= mode[1] <= mode[2]):
-                raise ValueError(f"bad weight mode {mode!r}")
-        else:
+        uniform = mode[0] == "uniform" and len(mode) == 3 and 0 <= mode[1] <= mode[2]
+        if mode[0] != "unit" and not uniform:
             raise ValueError(f"bad weight mode {mode!r}")
 
     def size(self, key: str) -> int:
@@ -80,17 +78,19 @@ def _draw_weights(rng: random.Random, spec: GenSpec, n_total: int) -> dict[int, 
     return {v: Fraction(rng.randint(lo, hi)) for v in range(1, n_total + 1)}
 
 
-def _bip_random(rng: random.Random, spec: GenSpec) -> BipartiteGraph:
-    na, nb, m = spec.size("na"), spec.size("nb"), spec.size("m")
-    pairs = [(a, na + b) for a in range(1, na + 1) for b in range(1, nb + 1)]
+def _two_sided_random(
+    cls: type, noun: str, rng: random.Random, spec: GenSpec, n1: int, n2: int, m: int
+) -> BipartiteGraph | SplitGraph:
+    """m of the n1*n2 pairs between the two sides of a `cls` graph, drawn uniformly."""
+    pairs = [(u, n1 + v) for u in range(1, n1 + 1) for v in range(1, n2 + 1)]
     if m > len(pairs):
-        raise ValueError(f"cannot place {m} edges in a {na}x{nb} bipartite graph")
+        kind = cls.__name__.removesuffix("Graph").lower()
+        raise ValueError(f"cannot place {m} {noun} in a {n1}x{n2} {kind} graph")
     edges = frozenset(rng.sample(pairs, m))
-    return BipartiteGraph(na, nb, edges, spec.t, _draw_weights(rng, spec, na + nb))
+    return cls(n1, n2, edges, spec.t, _draw_weights(rng, spec, n1 + n2))
 
 
-def _bip_dense(rng: random.Random, spec: GenSpec) -> BipartiteGraph:
-    na, nb = spec.size("na"), spec.size("nb")
+def _bip_dense(rng: random.Random, spec: GenSpec, na: int, nb: int) -> BipartiteGraph:
     dmin = 2 * (spec.t - 1)
     if nb < dmin:
         raise ValueError(f"dense family needs nb >= 2(t-1) = {dmin}, got {nb}")
@@ -102,8 +102,8 @@ def _bip_dense(rng: random.Random, spec: GenSpec) -> BipartiteGraph:
     return BipartiteGraph(na, nb, frozenset(edges), spec.t, _draw_weights(rng, spec, na + nb))
 
 
-def _hyp_uniform(rng: random.Random, spec: GenSpec) -> Hypergraph:
-    n, m, t = spec.size("n"), spec.size("m"), spec.t
+def _hyp_uniform(rng: random.Random, spec: GenSpec, n: int, m: int) -> Hypergraph:
+    t = spec.t
     if n < 2 * t or m < 2:
         raise ValueError(
             "disjoint-counterpart property needs n >= 2t and m >= 2 "
@@ -131,8 +131,8 @@ def _hyp_uniform(rng: random.Random, spec: GenSpec) -> Hypergraph:
     raise ValueError("retry budget exhausted while sampling a uniform hypergraph")
 
 
-def _regular_graph(rng: random.Random, spec: GenSpec) -> Hypergraph:
-    n, deg = spec.size("n"), spec.t
+def _regular_graph(rng: random.Random, spec: GenSpec, n: int) -> Hypergraph:
+    deg = spec.t
     if deg < 1 or n <= deg:
         raise ValueError(f"no simple {deg}-regular graph on {n} vertices")
     if (n * deg) % 2 != 0:
@@ -147,25 +147,18 @@ def _regular_graph(rng: random.Random, spec: GenSpec) -> Hypergraph:
     raise ValueError("retry budget exhausted while pairing a regular graph")
 
 
-def _split_random(rng: random.Random, spec: GenSpec) -> SplitGraph:
-    nc, ni, m = spec.size("nc"), spec.size("ni"), spec.size("m")
-    pairs = [(c, nc + i) for c in range(1, nc + 1) for i in range(1, ni + 1)]
-    if m > len(pairs):
-        raise ValueError(f"cannot place {m} cross edges in a {nc}x{ni} split graph")
-    edges = frozenset(rng.sample(pairs, m))
-    return SplitGraph(nc, ni, edges, spec.t, _draw_weights(rng, spec, nc + ni))
-
-
-_BUILDERS = {
-    "bip-random": _bip_random,
-    "bip-dense": _bip_dense,
-    "hyp-uniform": _hyp_uniform,
-    "regular-graph": _regular_graph,
-    "split-random": _split_random,
+# Each family: its size keys, in order, and its builder, which gets them positionally.
+FAMILIES = {
+    "bip-random": (("na", "nb", "m"), partial(_two_sided_random, BipartiteGraph, "edges")),
+    "bip-dense": (("na", "nb"), _bip_dense),
+    "hyp-uniform": (("n", "m"), _hyp_uniform),
+    "regular-graph": (("n",), _regular_graph),
+    "split-random": (("nc", "ni", "m"), partial(_two_sided_random, SplitGraph, "cross edges")),
 }
 
 
 def generate(spec: GenSpec) -> BipartiteGraph | SplitGraph | Hypergraph:
     """Generate the instance described by `spec`, deterministically."""
-    rng = random.Random(spec.seed)
-    return _BUILDERS[spec.family](rng, spec)
+    keys, build = FAMILIES[spec.family]
+    sizes = [spec.size(key) for key in keys]
+    return build(random.Random(spec.seed), spec, *sizes)

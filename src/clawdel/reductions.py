@@ -4,8 +4,12 @@ Each constructor returns the new instance together with a ReductionMap
 recording the id ranges of every vertex group. Constructed bipartite
 instances put gadget vertices on the A side (ids 1..nA, format
 invariant), so preserved source vertices land on the B side at a fixed
-offset; `map_solution` applies the corresponding pure index shifts.
-Generators always emit unit weights.
+offset. `map_solution` has one rule for both shifted constructions
+(`hvc-osbcd`, `vc-dense`): shift the preserved group V, then add or
+require the pad group P, which `hvc-osbcd` does not have. The split
+completion and its shadow keep every id and weight; the two cover
+constructions emit unit weights. A map survives its sidecar text
+unchanged: `read_map(write_map(r)) == r`.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ class ReductionMap:
     """
 
     kind: str
-    source_sizes: tuple[tuple[str, int], ...]
     groups: tuple[tuple[str, int, int], ...]
     offset: int = 0
     warnings: tuple[str, ...] = ()
@@ -54,7 +57,7 @@ def write_map(rmap: ReductionMap) -> str:
 
 
 def read_map(text: str) -> ReductionMap:
-    """Parse a sidecar back into a ReductionMap (source sizes are not stored)."""
+    """Parse a sidecar back into the ReductionMap it was written from."""
     kind = None
     groups: list[tuple[str, int, int]] = []
     offset = 0
@@ -76,7 +79,7 @@ def read_map(text: str) -> ReductionMap:
             raise ValueError(f"bad sidecar line: {line!r}")
     if kind is None:
         raise ValueError("sidecar has no 'map' line")
-    return ReductionMap(kind, (), tuple(groups), offset, tuple(warnings))
+    return ReductionMap(kind, tuple(groups), offset, tuple(warnings))
 
 
 def _has_disjoint_partner(hy: Hypergraph, idx: int) -> bool:
@@ -113,13 +116,7 @@ def from_hypergraph_cover(hy: Hypergraph) -> tuple[BipartiteGraph, ReductionMap]
         if not _has_disjoint_partner(hy, j)
     )
     graph = BipartiteGraph(n_a, n, frozenset(edges), t)
-    rmap = ReductionMap(
-        kind="hvc-osbcd",
-        source_sizes=(("n", n), ("m", m)),
-        groups=tuple(groups),
-        warnings=warnings,
-    )
-    return graph, rmap
+    return graph, ReductionMap("hvc-osbcd", tuple(groups), warnings=warnings)
 
 
 def to_split(g: BipartiteGraph) -> tuple[SplitGraph, ReductionMap]:
@@ -127,7 +124,6 @@ def to_split(g: BipartiteGraph) -> tuple[SplitGraph, ReductionMap]:
     split = SplitGraph(g.n_a, g.n_b, g.edges, g.t, dict(g.weights))
     rmap = ReductionMap(
         kind="osbcd-split",
-        source_sizes=(("nA", g.n_a), ("nB", g.n_b)),
         groups=(("clique", 1, g.n_a), ("independent", g.n_a + 1, g.n_vertices)),
     )
     return split, rmap
@@ -149,7 +145,6 @@ def to_bipartite(h: SplitGraph) -> tuple[BipartiteGraph, ReductionMap]:
         )
     rmap = ReductionMap(
         kind="split-osbcd",
-        source_sizes=(("nC", h.n_clique), ("nI", h.n_indep)),
         groups=(("A", 1, h.n_clique), ("B", h.n_clique + 1, h.n_vertices)),
         warnings=warnings,
     )
@@ -219,7 +214,6 @@ def from_regular_graph_cover(g: Hypergraph) -> tuple[BipartiteGraph, ReductionMa
     graph = BipartiteGraph(n_a, n_b, frozenset(edges), t)
     rmap = ReductionMap(
         kind="vc-dense",
-        source_sizes=(("n", n), ("m", m)),
         groups=tuple(groups),
         offset=pad,
         warnings=tuple(warnings),
@@ -248,42 +242,24 @@ def map_solution(rmap: ReductionMap, direction: str, solution: Iterable[int]) ->
     if rmap.kind in ("osbcd-split", "split-osbcd"):
         return tuple(ids)
 
-    if rmap.kind == "hvc-osbcd":
-        v_lo, v_hi = rmap.group("V")
-        shift = v_lo - 1
-        if direction == "forward":
-            _require(
-                all(1 <= v <= v_hi - shift for v in ids),
-                "forward solution must be a set of source vertices",
-            )
-            return tuple(v + shift for v in ids)
+    if rmap.kind not in ("hvc-osbcd", "vc-dense"):
+        raise ValueError(f"unknown reduction kind {rmap.kind!r}")
+    # Shift the preserved group V; the pad group P (none for hvc-osbcd) is added or required.
+    v_lo, v_hi = rmap.group("V")
+    shift = v_lo - 1
+    pad_ids = {v for name, lo, hi in rmap.groups if name == "P" for v in range(lo, hi + 1)}
+    if direction == "forward":
         _require(
-            all(v_lo <= v <= v_hi for v in ids),
-            "non-canonical solution: vertices outside the preserved group",
+            all(1 <= v <= v_hi - shift for v in ids),
+            "forward solution must be a set of source vertices",
         )
-        return tuple(v - shift for v in ids)
+        return tuple(sorted({v + shift for v in ids} | pad_ids))
+    chosen = set(ids)
+    _require(pad_ids <= chosen, "non-canonical solution: pad group not fully contained")
+    rest = chosen - pad_ids
+    _require(
+        all(v_lo <= v <= v_hi for v in rest),
+        "non-canonical solution: vertices outside the preserved group",
+    )
+    return tuple(sorted(v - shift for v in rest))
 
-    if rmap.kind == "vc-dense":
-        v_lo, v_hi = rmap.group("V")
-        p_lo, p_hi = rmap.group("P")
-        shift = v_lo - 1
-        pad_ids = set(range(p_lo, p_hi + 1))
-        if direction == "forward":
-            _require(
-                all(1 <= v <= v_hi - shift for v in ids),
-                "forward solution must be a set of source vertices",
-            )
-            return tuple(sorted({v + shift for v in ids} | pad_ids))
-        chosen = set(ids)
-        _require(
-            pad_ids <= chosen,
-            "non-canonical solution: pad group not fully contained",
-        )
-        rest = chosen - pad_ids
-        _require(
-            all(v_lo <= v <= v_hi for v in rest),
-            "non-canonical solution: vertices outside the preserved group",
-        )
-        return tuple(sorted(v - shift for v in rest))
-
-    raise ValueError(f"unknown reduction kind {rmap.kind!r}")

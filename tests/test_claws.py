@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from clawdel import (
@@ -61,6 +63,19 @@ def test_split_claw_matches_brute_force():
             assert len(set(leaves)) == h.t
             got = brute_force_split_claw(h, set(h.vertices) - {center, *leaves})
             assert got == (center, tuple(sorted(leaves)))
+
+
+def test_split_claw_witness_equals_brute_force_with_removed_sets():
+    # the exact witness, not only its existence: lowest centre, then the
+    # lexicographically smallest sorted leaf tuple
+    rng = random.Random(11)
+    for seed in range(300):
+        h = random_split(seed, nc_max=5, ni_max=7)
+        for _ in range(4):
+            removed = {v for v in h.vertices if rng.random() < 0.2}
+            ours = find_claw_split(h, removed)
+            brute = brute_force_split_claw(h, removed)
+            assert (ours and (ours.center, ours.leaves)) == brute
 
 
 def test_split_claw_centers_never_independent():

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from clawdel.cli import main
+from clawdel.generate import FAMILIES
 
 G1_TEXT = "p bip 1 4 4 3\ne 1 2\ne 1 3\ne 1 4\ne 1 5\n"
 MISMATCH_SPLIT = "p split 2 2 2 3\ne 1 3\ne 1 4\n"
@@ -183,7 +184,20 @@ def test_reduce_kind_input_mismatch(tmp_path, capsys):
     instance = write(tmp_path / "g1.bip", G1_TEXT)
     assert main(["reduce", "--kind", "hvc-osbcd", "--input", instance,
                  "--output", str(tmp_path / "o.bip")]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: hvc-osbcd needs a 'p hyp' instance with t >= 3\n"
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("osbcd-split", MISMATCH_SPLIT, "osbcd-split needs a 'p bip' instance"),
+    ("split-osbcd", G1_TEXT, "split-osbcd needs a 'p split' instance"),
+    ("vc-dense", G1_TEXT, "vc-dense needs a 2-uniform 'p hyp' instance"),
+])
+def test_reduce_wrong_input_kind_messages(tmp_path, capsys, kind, text, message):
+    instance = write(tmp_path / "in.txt", text)
+    out = tmp_path / "o.txt"
+    assert main(["reduce", "--kind", kind, "--input", instance, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_gen_writes_deterministic_instance(tmp_path):
@@ -199,7 +213,62 @@ def test_gen_writes_deterministic_instance(tmp_path):
 def test_gen_missing_size_exits_2(tmp_path, capsys):
     assert main(["gen", "--family", "bip-dense", "--seed", "1", "--t", "3",
                  "--na", "2", "--output", str(tmp_path / "x.bip")]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: family bip-dense needs --nb\n"
+
+
+@pytest.mark.parametrize("family, flags, message", [
+    ("bip-random", ["--na", "2", "--nb", "2", "--m", "5"],
+     "cannot place 5 edges in a 2x2 bipartite graph"),
+    ("split-random", ["--nc", "2", "--ni", "2", "--m", "5"],
+     "cannot place 5 cross edges in a 2x2 split graph"),
+    ("bip-dense", ["--na", "2", "--nb", "4", "--weights", "1-9"],
+     "--weights must be 'unit' or 'LO:HI'"),
+    ("bip-dense", ["--na", "2", "--nb", "4", "--weights", "+1:\u0669"],
+     "--weights must be 'unit' or 'LO:HI'"),
+    ("bip-dense", ["--na", "2", "--nb", "4", "--weights", "1:1_0"],
+     "--weights must be 'unit' or 'LO:HI'"),
+])
+def test_gen_precondition_messages(tmp_path, capsys, family, flags, message):
+    out = tmp_path / "x.txt"
+    assert main(["gen", "--family", family, "--seed", "1", "--t", "3", *flags,
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, token", [
+    ("--seed", "+7"), ("--t", "\u0663"), ("--na", "1_0"), ("--nb", "\uff18"), ("--seed", " 7"),
+    ("--t", "abc"),
+])
+def test_gen_rejects_lax_integer_flags(tmp_path, capsys, flag, token):
+    values = {"--seed": "7", "--t": "3", "--na": "2", "--nb": "8"}
+    values[flag] = token
+    argv = ["gen", "--family", "bip-dense", "--output", str(tmp_path / "x.bip")]
+    for key, value in values.items():
+        argv += [key, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: invalid int value: {token!r}\n")
+    assert not (tmp_path / "x.bip").exists()
+
+
+SIZE_VALUES = {"na": 3, "nb": 6, "m": 4, "n": 6, "nc": 3, "ni": 5}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_every_family_generates_with_exactly_its_size_flags(tmp_path, capsys, family):
+    keys, _ = FAMILIES[family]
+    flags = [f for key in keys for f in (f"--{key}", str(SIZE_VALUES[key]))]
+    out = tmp_path / "x.txt"
+    base = ["gen", "--family", family, "--seed", "5", "--t", "3", "--output", str(out)]
+    assert main(base + flags) == 0
+    header = out.read_text(encoding="utf-8").split("\n", 1)[0].split()
+    assert header[:5] == ["#", "gen", family, "seed=5", "t=3"]
+    assert header[5:-2] == [f"{key}={SIZE_VALUES[key]}" for key in sorted(keys)]
+    for i, key in enumerate(keys):
+        assert main(base + flags[:2 * i] + flags[2 * i + 2:]) == 2
+        assert capsys.readouterr().err == f"error: family {family} needs --{key}\n"
 
 
 def test_gen_infeasible_spec_exits_2(tmp_path, capsys):

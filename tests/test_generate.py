@@ -83,8 +83,10 @@ def test_generator_errors():
         generate(GenSpec("bip-random", 3, 1, {"na": 2, "nb": 2}))  # missing m
     with pytest.raises(ValueError):
         GenSpec("mystery", 3, 1, {})
-    with pytest.raises(ValueError):
-        GenSpec("bip-random", 3, 1, {}, ("uniform", 5, 2))
+    for mode in (("uniform", 5, 2), ("uniform", -1, 2), ("uniform", 1), ("x",)):
+        with pytest.raises(ValueError, match="bad weight mode"):
+            GenSpec("bip-random", 3, 1, {}, mode)
+    assert GenSpec("bip-random", 3, 1, {}, ("uniform", 0, 0)).weight_mode == ("uniform", 0, 0)
 
 
 def test_provenance_mentions_everything():

@@ -169,15 +169,21 @@ def test_map_solution_dense():
         map_solution(rmap, "sideways", [1])
 
 
-def test_sidecar_round_trip(hy1):
-    _, rmap = from_hypergraph_cover(hy1)
-    text = write_map(rmap)
-    parsed = read_map(text)
-    assert parsed.kind == rmap.kind
-    assert parsed.groups == rmap.groups
-    assert parsed.offset == rmap.offset
-    g, rmap2 = from_regular_graph_cover(k4())
-    assert read_map(write_map(rmap2)).groups == rmap2.groups
+def test_sidecar_round_trip(hy1, g2):
+    maps = [
+        from_hypergraph_cover(hy1)[1],
+        from_hypergraph_cover(Hypergraph(3, 3, ((1, 2, 3),)))[1],
+        to_split(g2)[1],
+        to_bipartite(SplitGraph(2, 2, frozenset({(1, 3), (1, 4)}), 3))[1],
+        from_regular_graph_cover(k4())[1],
+        from_regular_graph_cover(generate(GenSpec("regular-graph", 3, 1, {"n": 14})))[1],
+    ]
+    assert [r.kind for r in maps] == [
+        "hvc-osbcd", "hvc-osbcd", "osbcd-split", "split-osbcd", "vc-dense", "vc-dense",
+    ]
+    assert all(maps[i].warnings for i in (1, 3, 5)) and maps[4].offset == 2
+    for rmap in maps:
+        assert read_map(write_map(rmap)) == rmap
 
 
 def test_read_map_rejects_non_ascii_integers():
