@@ -129,6 +129,11 @@ def to_split(g: BipartiteGraph) -> tuple[SplitGraph, ReductionMap]:
     return split, rmap
 
 
+def cross_edge_shadow(h: SplitGraph) -> BipartiteGraph:
+    """The split graph without its implicit clique edges; ids, weights and t carry over."""
+    return BipartiteGraph(h.n_clique, h.n_indep, h.cross_edges, h.t, dict(h.weights))
+
+
 def to_bipartite(h: SplitGraph) -> tuple[BipartiteGraph, ReductionMap]:
     """Drop the implicit clique edges, keeping the cross-edge shadow.
 
@@ -136,7 +141,7 @@ def to_bipartite(h: SplitGraph) -> tuple[BipartiteGraph, ReductionMap]:
     does not: such a claw uses a clique vertex as a leaf and the two
     instances genuinely disagree on feasibility.
     """
-    shadow = BipartiteGraph(h.n_clique, h.n_indep, h.cross_edges, h.t, dict(h.weights))
+    shadow = cross_edge_shadow(h)
     warnings = ()
     if find_claw(shadow) is None and find_claw_split(h) is not None:
         warnings = (

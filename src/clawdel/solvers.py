@@ -10,9 +10,12 @@ raised, and it is always V minus the vertices picked so far, so the
 dual is recorded as a sequence of (raise amount, tightened vertex)
 steps. The solver is event driven: the coefficients
 dual_rank_incident(v, S) and dual_rank(E[S]) live in a `DegreeState`
-plus a few integers updated as vertices leave S, and a heap orders the
-exact raise level at which each vertex becomes tight. All arithmetic is
-exact rationals; no floating point touches any solver path.
+plus a few integers updated as vertices leave S. With `raised` the
+total raise so far, vertex v has paid coeff[v] * raised - offset[v], so
+a coefficient fall only moves the offset, and a heap keyed by raise
+levels that may be stale (too low, never too high) is refreshed one
+vertex at a time as keys reach the top. All arithmetic is exact
+rationals; no floating point touches any solver path.
 
 The deletion solvers share one finish step, `_finish`: reverse deletion
 on the solver's own claw-free `DegreeState`, then cost, θ and report.
@@ -26,6 +29,7 @@ import heapq
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import compress, count
 from typing import Iterable
 
 from . import reductions
@@ -132,18 +136,25 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
     Reverse deletion then prunes the preliminary solution to a minimal
     one.
 
-    With `raised` the total raise so far, a vertex of coefficient c and
-    residual weight r is tight at level raised + r / c. Coefficients
-    only fall as S shrinks, so these levels only rise, and a heap entry
-    made stale by a fall is refreshed when it reaches the top.
+    With `raised` the total raise so far, a vertex of weight w and
+    coefficient c has paid c * raised - offset and is tight at level
+    (w + offset) / c. A fall of d at level `raised` leaves the amount
+    paid as it is by taking d * raised off the offset (one subtraction,
+    no division), and marks the vertex's heap key stale. Coefficients
+    only fall, so levels only rise and a stale key never overstates
+    its vertex's level. A stale key that reaches the top is recomputed:
+    pushed back down if the level rose, dropped if the coefficient is
+    0, and otherwise current. A current (key, v) at the top is at most
+    every other vertex's (level, id), so ties still go to the lowest id.
     """
-    t, adj = g.t, g.adj
+    t, adj, weight = g.t, g.adj, g.weight
     state = DegreeState(g)
     alive, deg = state.alive, state.deg
     coeff = state.coefficients()
     rank = sum(coeff[: g.n_a + 1])  # dual_rank(E[S])
-    tight_at = [g.weight(v) / c if c else None for v, c in enumerate(coeff)]
-    heap = [(level, v) for v, level in enumerate(tight_at) if level is not None]
+    offset = [0] * len(coeff)
+    stale = bytearray(len(coeff))
+    heap = [(weight(v) / coeff[v], v) for v in compress(count(), coeff)]
     heapq.heapify(heap)
     raised = dual_lb = Fraction(0)
     selected: list[int] = []
@@ -151,38 +162,41 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
 
     while state.centres:
         level, tight = heap[0]
-        if tight_at[tight] is not level:
-            if tight_at[tight] is None:
+        if stale[tight]:
+            stale[tight] = 0
+            c = coeff[tight]
+            if not c:
                 heapq.heappop(heap)
-            else:
-                heapq.heapreplace(heap, (tight_at[tight], tight))
-            continue
+                continue
+            true_level = (weight(tight) + offset[tight]) / c
+            if true_level != level:
+                heapq.heapreplace(heap, (true_level, tight))
+                continue
         heapq.heappop(heap)
         eps = level - raised
         raised = level
+        two_raised = 2 * raised
         dual_lb += eps * rank
         trace.append(TraceStep(amount=eps, selected=tight))
         selected.append(tight)
-        tight_at[tight] = None
 
         # A centre that loses an edge loses 2; one that leaves S or falls to
         # degree t - 1 also takes 2 from each alive B-neighbour.
-        before: dict[int, int] = {}  # coefficient of each vertex this removal lowers
         for a in state.remove(tight):
             if a == tight:
                 rank -= coeff[a]
             else:
-                before.setdefault(a, coeff[a])
                 coeff[a] -= 2
+                offset[a] -= two_raised
+                stale[a] = 1
                 rank -= 2
                 if deg[a] >= t:
                     continue
             for b in adj[a]:
                 if alive[b]:
-                    before.setdefault(b, coeff[b])
                     coeff[b] -= 2
-        for v, c in before.items():
-            tight_at[v] = raised + (tight_at[v] - raised) * c / coeff[v] if coeff[v] else None
+                    offset[b] -= two_raised
+                    stale[b] = 1
 
     return _finish(state, selected, dual_lb, "primal-dual", len(trace)), trace
 
@@ -291,8 +305,7 @@ def solve(
     elif isinstance(g, BipartiteGraph):
         report, trace = _DELETION_SOLVERS[algorithm](g)
     else:
-        shadow, _ = reductions.to_bipartite(g)
-        report, trace = _DELETION_SOLVERS[algorithm](shadow)
+        report, trace = _DELETION_SOLVERS[algorithm](reductions.cross_edge_shadow(g))
         witness = find_claw_split(g, report.solution)
         if witness is not None:
             raise ShadowMismatchError(report.solution, witness)

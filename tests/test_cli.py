@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from clawdel import cli, oracle
 from clawdel.cli import main
 from clawdel.generate import FAMILIES
 
@@ -299,6 +300,50 @@ def test_bench_writes_csv(tmp_path, capsys):
             assert row["opt"] != "" and row["ratio"] != ""
     exact_rows = [r for r in rows if r["algorithm"] == "exact"]
     assert all(r["ratio"] == "1" for r in exact_rows)
+
+
+def test_bench_runs_the_oracle_once_per_instance(tmp_path, capsys, monkeypatch):
+    calls = []
+    oracle_fn = oracle.exact_min_deletion_set
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return oracle_fn(*args, **kwargs)
+
+    for site in (oracle, cli):
+        monkeypatch.setattr(site, "exact_min_deletion_set", counting)
+    assert main(["gen", "--family", "bip-random", "--seed", "5", "--t", "3", "--na", "5",
+                 "--nb", "9", "--m", "25", "--weights", "1:9",
+                 "--output", str(tmp_path / "i.bip")]) == 0
+    csv_path = tmp_path / "report.csv"
+    for algs in ("exact", "primal-dual,exact", "primal-dual"):
+        calls.clear()
+        assert main(["bench", "--suite", str(tmp_path), "--algs", algs,
+                     "--csv", str(csv_path)]) == 0
+        assert len(calls) == 1
+        with open(csv_path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        _, opt = oracle_fn(calls[0])
+        assert opt > 0 and {r["opt"] for r in rows} == {str(opt)}
+    assert capsys.readouterr().err == ""
+
+
+def test_bench_takes_a_split_optimum_from_the_exact_row(tmp_path, capsys):
+    # The oracle's depth guard refuses this split graph, but the exact row
+    # solves its shadow, and the shadow optimum it finds is split feasible.
+    instance = tmp_path / "s.split"
+    assert main(["gen", "--family", "split-random", "--seed", "11", "--t", "3", "--nc", "10",
+                 "--ni", "20", "--m", "60", "--weights", "1:9", "--output", str(instance)]) == 0
+    with pytest.raises(oracle.OracleLimitError):
+        oracle.exact_min_deletion_set(cli._load_deletion_instance(str(instance)))
+    csv_path = tmp_path / "report.csv"
+    assert main(["bench", "--suite", str(tmp_path), "--algs", "exact,max-subgraph",
+                 "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(csv_path, newline="") as handle:
+        exact, kept = csv.DictReader(handle)
+    assert exact["cost"] == exact["lower_bound"] == exact["opt"] == "28"
+    assert (kept["cost"], kept["opt"], kept["ratio"]) == ("87", "89", "89/87")
 
 
 def test_verify_accepts_solver_output(tmp_path, capsys):

@@ -6,6 +6,7 @@ exactly: reports, the (amount, selected) sequence of the dual trace,
 reverse deletion, minimality and theta.
 """
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -73,6 +74,49 @@ def test_primal_dual_matches_the_reference(chunk):
         expected, steps = ref.primal_dual_solve(g)
         assert report == expected
         assert [(s.amount, s.selected) for s in trace] == steps
+
+
+def mid_size_instance(family, na, seed, weights):
+    """A generated instance with na A-vertices and 1:9 or fractional weights."""
+    sizes = {"na": na, "nb": 2 * na} | ({"m": 8 * na} if family == "bip-random" else {})
+    if weights == "1:9":
+        return generate(GenSpec(family, 3, seed, sizes, ("uniform", 1, 9)))
+    g = generate(GenSpec(family, 3, seed, sizes))
+    rng = random.Random(seed)
+    fractional = {v: Fraction(rng.randint(1, 12), rng.randint(1, 7)) for v in g.vertices}
+    return BipartiteGraph(g.n_a, g.n_b, g.edges, g.t, fractional)
+
+
+MID_SIZE = [
+    mid_size_instance(family, na, seed, weights)
+    for family in ("bip-dense", "bip-random")
+    for na in (20, 30, 40)
+    for weights in ("1:9", "fraction")
+    for seed in (0, 1)
+]
+
+
+def test_mid_size_primal_dual_matches_the_reference(monkeypatch):
+    """Raise amounts with 64-bit and larger denominators; keys refreshed many times."""
+    refreshes = []
+    heapreplace = heapq.heapreplace
+
+    def counting(heap, item):
+        refreshes[-1] += 1
+        return heapreplace(heap, item)
+
+    monkeypatch.setattr(heapq, "heapreplace", counting)
+    big = []
+    for g in MID_SIZE:
+        refreshes.append(0)
+        report, trace = primal_dual_solve(g)
+        expected, steps = ref.primal_dual_solve(g)
+        assert report == expected
+        assert [(s.amount, s.selected) for s in trace] == steps
+        bits = max(s.amount.denominator.bit_length() for s in trace)
+        if len(trace) >= 30 and bits >= 64:
+            big.append(g)
+    assert len(big) >= 4 and max(refreshes) >= 100
 
 
 @pytest.mark.parametrize("chunk", range(8))

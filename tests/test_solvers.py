@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_solvers as ref
 from clawdel import (
     BipartiteGraph,
     GenSpec,
@@ -63,6 +64,28 @@ def test_primal_dual_zero_weight_tight_at_zero(g1):
     assert trace[0].amount == 0
     assert trace[0].selected == 3
     assert report.cost == g.total_weight(report.solution)
+
+
+# Centre 1 has B-neighbours 4, 6, 7 and centre 2 has 3, 4, 5, so B-vertex 4
+# starts at coefficient 4 and every other vertex at 2. Centre 1 (weight 1)
+# is tight first, at 1/2. That takes vertex 4 (weight w, paid 2 by then)
+# down to coefficient 2 and leaves its heap key w / 4 stale: its level is
+# now (w - 1) / 2, while 3 and 5 stay at half their weights.
+@pytest.mark.parametrize("weights, steps", [
+    # 4 refreshes to 3/2 and ties 3 (lower id, current key) and 5 (higher id)
+    ({3: 3, 4: 4, 5: 3}, [(Fraction(1, 2), 1), (1, 3)]),
+    # the same tie without 3: the stale vertex 4 beats 5
+    ({3: 4, 4: 4, 5: 3}, [(Fraction(1, 2), 1), (1, 4)]),
+    # 4 ties 1 at 1/2 and loses to it; its stale key is then still its level
+    ({3: 4, 4: 2, 5: 4}, [(Fraction(1, 2), 1), (0, 4)]),
+])
+def test_primal_dual_ties_on_a_stale_key_go_to_the_lowest_id(weights, steps):
+    edges = frozenset({(1, 4), (1, 6), (1, 7), (2, 3), (2, 4), (2, 5)})
+    g = BipartiteGraph(2, 5, edges, 3, {1: 1, 2: 4, 6: 4, 7: 4, **weights})
+    report, trace = primal_dual_solve(g)
+    expected, expected_steps = ref.primal_dual_solve(g)
+    assert [(s.amount, s.selected) for s in trace] == expected_steps == steps
+    assert report == expected
 
 
 def test_primal_dual_dual_feasibility_and_tightness():
