@@ -83,6 +83,17 @@ def is_feasible(g: BipartiteGraph | SplitGraph, solution: Iterable[int]) -> bool
     raise TypeError(f"expected a bipartite or split graph, got {type(g).__name__}")
 
 
+def centre_candidates(g: BipartiteGraph) -> list[int]:
+    """The A-vertices with t or more neighbours, in id order.
+
+    Only these can centre a claw, whatever is deleted. They are read
+    off `g.touched`, so the passes that start from this list cost
+    O(|E|) and spend nothing on isolated vertices.
+    """
+    n_a, t, adj = g.n_a, g.t, g.adj
+    return [a for a in g.touched if a <= n_a and len(adj[a]) >= t]
+
+
 class DegreeState:
     """Alive vertices of a bipartite graph and the alive degree of each A-vertex.
 
@@ -90,7 +101,8 @@ class DegreeState:
     not, and `centres` counts the alive A-vertices with degree >= t: a
     claw survives exactly while it is nonzero. Removing or restoring a
     vertex, and testing whether a removed one can come back without
-    creating a claw, cost O(its degree).
+    creating a claw, cost O(its degree). `candidates` lists the only
+    A-vertices that can ever be centres (`centre_candidates`).
     """
 
     def __init__(self, g: BipartiteGraph, removed: Iterable[int] = ()) -> None:
@@ -103,7 +115,8 @@ class DegreeState:
                 if v > g.n_a:
                     for a in g.adj[v]:
                         deg[a] -= 1
-        self.centres = sum(1 for a, d in enumerate(deg) if d >= g.t and alive[a])
+        self.candidates = centre_candidates(g)
+        self.centres = sum(1 for a in self.candidates if alive[a] and deg[a] >= g.t)
 
     def is_centre(self, v: int) -> bool:
         return v <= self.g.n_a and self.alive[v] and self.deg[v] >= self.g.t
@@ -117,7 +130,7 @@ class DegreeState:
         """
         g, alive, deg, t = self.g, self.alive, self.deg, self.g.t
         out = [0] * (g.n_vertices + 1)
-        for a in g.a_side:
+        for a in self.candidates:
             if alive[a] and deg[a] >= t:
                 out[a] = 2 * (deg[a] - t + 1)
                 for b in g.adj[a]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -109,13 +110,18 @@ def _print_payload(payload: dict, as_json: bool) -> None:
 
 
 def _write_trace(path: str, trace, vertices: range) -> None:
-    """One line per raise; the active set is the vertices not yet selected."""
-    lines = ["# dual trace (primal-dual): raise amount, tight vertex, active set"]
-    active = [str(v) for v in vertices]
-    for step in trace:
-        lines.append(f"raise {step.amount} tight {step.selected} active {' '.join(active)}")
-        active.remove(str(step.selected))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One line per raise; the active set is the vertices not yet selected.
+
+    The active ids are one string with a space at each end, so each
+    tight id is cut out with one `str.replace` of " v " instead of a
+    re-join of every id, and the lines are written as they are made.
+    """
+    active = " " + ("%d " * len(vertices)) % tuple(vertices)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("# dual trace (primal-dual): raise amount, tight vertex, active set\n")
+        for step in trace:
+            out.write(f"raise {step.amount} tight {step.selected} active {active[1:-1]}\n")
+            active = active.replace(f" {step.selected} ", " ", 1)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -286,7 +292,13 @@ def _int_arg(token: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged.
+
+    `prog` is fixed, so usage and error messages do not depend on how
+    the process was started.
+    """
     parser = argparse.ArgumentParser(prog="clawdel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

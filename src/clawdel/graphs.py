@@ -9,7 +9,8 @@ Both graph kinds are one two-sided structure (a split graph leaves its
 clique edges implicit) and share one validator and one set of helpers.
 Adjacency `adj` is a list indexed by id with slot 0 empty; a negative
 index would still read a slot, so callers bounds-check with
-`v in g.vertices`.
+`v in g.vertices`. `touched` lists the ids that have an edge, so a pass
+that only cares about those skips the isolated ones.
 
 All types are immutable after construction (`adj` is read-only by
 convention) and safe to share across threads. Derived adjacency is
@@ -42,7 +43,10 @@ def _canonical_weights(weights: Mapping[int, object] | None, n_total: int) -> di
     return out
 
 
-def _sorted_adjacency(n_total: int, edges: Iterable[Edge]) -> list[tuple[int, ...]]:
+def _sorted_adjacency(
+    n_total: int, edges: Iterable[Edge]
+) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """Adjacency by id, and the ids with at least one edge, ascending."""
     touched: defaultdict[int, list[int]] = defaultdict(list)
     for a, b in edges:
         touched[a].append(b)
@@ -50,7 +54,7 @@ def _sorted_adjacency(n_total: int, edges: Iterable[Edge]) -> list[tuple[int, ..
     adj: list[tuple[int, ...]] = [()] * (n_total + 1)
     for v, ns in touched.items():
         adj[v] = tuple(sorted(ns))
-    return adj
+    return adj, tuple(sorted(touched))
 
 
 class _TwoSided:
@@ -58,7 +62,8 @@ class _TwoSided:
 
     A subclass is a frozen dataclass whose fields start with the two
     side sizes and the edge set, named in `_fields`, and go on with `t`,
-    `weights` and `adj`; `_labels` names the two sides in error messages.
+    `weights`, `adj` and `touched`, the ids with at least one edge in
+    ascending order; `_labels` names the two sides in error messages.
     """
 
     _fields: tuple[str, str, str]
@@ -80,7 +85,9 @@ class _TwoSided:
                 raise ValueError(f"{self._labels[1]} index {v} out of range {n1 + 1}..{n}")
         object.__setattr__(self, edges_field, edges)
         object.__setattr__(self, "weights", _canonical_weights(self.weights, n))
-        object.__setattr__(self, "adj", _sorted_adjacency(n, edges))
+        adj, touched = _sorted_adjacency(n, edges)
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "touched", touched)
 
     @property
     def n_vertices(self) -> int:
@@ -117,6 +124,7 @@ class BipartiteGraph(_TwoSided):
     t: int
     weights: Mapping[int, object] | None = None
     adj: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    touched: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     _fields = ("n_a", "n_b", "edges")
     _labels = ("A-side", "B-side")
@@ -145,6 +153,7 @@ class SplitGraph(_TwoSided):
     t: int
     weights: Mapping[int, object] | None = None
     adj: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    touched: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     _fields = ("n_clique", "n_indep", "cross_edges")
     _labels = ("clique", "independent")

@@ -12,10 +12,13 @@ steps. The solver is event driven: the coefficients
 dual_rank_incident(v, S) and dual_rank(E[S]) live in a `DegreeState`
 plus a few integers updated as vertices leave S. With `raised` the
 total raise so far, vertex v has paid coeff[v] * raised - offset[v], so
-a coefficient fall only moves the offset, and a heap keyed by raise
-levels that may be stale (too low, never too high) is refreshed one
-vertex at a time as keys reach the top. All arithmetic is exact
-rationals; no floating point touches any solver path.
+a coefficient fall only moves the offset, an integer numerator and
+denominator pair, and a heap keyed by raise levels that may be stale
+(too low, never too high) is refreshed one vertex at a time as keys
+reach the top. Every amount, bound and level is an exact rational. A
+heap key leads with the correctly rounded float of its level, which
+orders most pairs of keys at float speed but decides nothing the exact
+levels would not: see `_key`.
 
 The deletion solvers share one finish step, `_finish`: reverse deletion
 on the solver's own claw-free `DegreeState`, then cost, θ and report.
@@ -29,11 +32,12 @@ import heapq
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import compress, count
+from math import gcd, inf
 from typing import Iterable
 
 from . import reductions
-from .claws import DegreeState, find_claw_split, prune, reverse_delete  # noqa: F401 (re-export)
+from .claws import DegreeState, centre_candidates, find_claw_split, prune
+from .claws import reverse_delete  # noqa: F401 (re-export)
 from .graphs import BipartiteGraph, SplitGraph
 
 
@@ -92,13 +96,14 @@ def theta_of_solution(g: BipartiteGraph, solution: Iterable[int]) -> Fraction:
 
     Returns sum(dual_rank(delta(v))) / dual_rank(E), in closed form: an
     A-vertex of degree >= t contributes 2 * (deg - t + 1), a B-vertex
-    twice its number of such neighbours, read off `g.adj` in O(n_A +
-    the solution's degree sum). A claw-free graph has dual_rank(E) = 0;
-    the ratio is then 0 for the empty solution and undefined
-    (ValueError) otherwise.
+    twice its number of such neighbours, read off `g.adj` in O(|E|):
+    the denominator sums over `centre_candidates` and the numerator over
+    the solution's degrees. A claw-free graph has dual_rank(E) = 0; the
+    ratio is then 0 for the empty solution and undefined (ValueError)
+    otherwise.
     """
     t, adj = g.t, g.adj
-    total = sum(2 * (d - t + 1) for d in map(len, adj[1 : g.n_a + 1]) if d >= t)
+    total = sum(2 * (len(adj[a]) - t + 1) for a in centre_candidates(g))
     sol = sorted(set(solution))
     if total == 0:
         if not sol:
@@ -125,6 +130,26 @@ def _finish(state: DegreeState, selected: list[int], lower: Fraction, algorithm:
                        algorithm=algorithm, iterations=iterations)
 
 
+def _key(level: Fraction, v: int) -> tuple[float, Fraction, int]:
+    """Heap key of vertex v tight at `level`: (float prefix, exact level, id).
+
+    The prefix never reorders two keys. Integer true division rounds
+    correctly at any operand size, and rounding to nearest is monotone:
+    a <= b gives prefix(a) <= prefix(b). So prefix(a) < prefix(b) can
+    only hold when a < b, and the tuple order, which compares prefixes
+    first, agrees with the exact order whenever the prefixes differ;
+    equal prefixes fall through to the exact levels and then the ids.
+    A level above the float range raises OverflowError and gets inf,
+    which is at least every other prefix, so the map stays monotone; a
+    level below it rounds to 0.0 or a subnormal, which is monotone too.
+    """
+    try:
+        prefix = level.numerator / level.denominator
+    except OverflowError:
+        prefix = inf
+    return prefix, level, v
+
+
 def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
     """Primal-dual deletion solver with reverse deletion.
 
@@ -138,65 +163,83 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
 
     With `raised` the total raise so far, a vertex of weight w and
     coefficient c has paid c * raised - offset and is tight at level
-    (w + offset) / c. A fall of d at level `raised` leaves the amount
-    paid as it is by taking d * raised off the offset (one subtraction,
-    no division), and marks the vertex's heap key stale. Coefficients
-    only fall, so levels only rise and a stale key never overstates
-    its vertex's level. A stale key that reaches the top is recomputed:
-    pushed back down if the level rose, dropped if the coefficient is
-    0, and otherwise current. A current (key, v) at the top is at most
-    every other vertex's (level, id), so ties still go to the lowest id.
+    (w + offset) / c. A fall of 2 at level `raised` leaves the amount
+    paid as it is by taking 2 * raised off the offset, and marks the
+    vertex's heap key stale. The offset is an integer numerator and
+    denominator in lowest terms, held in a dict only for vertices that
+    have fallen, and the subtraction is done inline with the gcd rule
+    of `Fraction`'s own subtraction, so a fall builds no `Fraction`.
+    Coefficients only fall, so levels only rise and a stale key never
+    overstates its vertex's level. A stale key that reaches the top is
+    recomputed: pushed back down with `heapreplace` if the level rose,
+    dropped if the coefficient is 0, and otherwise current. A current
+    key at the top is at most every other vertex's (level, id), so ties
+    still go to the lowest id.
+
+    Keys are `_key` triples: a float prefix of the level decides most
+    comparisons, and only equal prefixes compare the exact levels. The
+    prefix is monotone in the level, so a stale key is still at most
+    its vertex's current key. Every raise amount, bound and trace entry
+    is exact.
     """
     t, adj, weight = g.t, g.adj, g.weight
     state = DegreeState(g)
     alive, deg = state.alive, state.deg
     coeff = state.coefficients()
-    rank = sum(coeff[: g.n_a + 1])  # dual_rank(E[S])
-    offset = [0] * len(coeff)
+    rank = sum(coeff[a] for a in state.candidates)  # dual_rank(E[S])
+    offset: dict[int, tuple[int, int]] = {}  # numerator, denominator; absent is 0
     stale = bytearray(len(coeff))
-    heap = [(weight(v) / coeff[v], v) for v in compress(count(), coeff)]
+    heap = [_key(weight(v) / coeff[v], v) for v in g.touched if coeff[v]]
     heapq.heapify(heap)
     raised = dual_lb = Fraction(0)
     selected: list[int] = []
     trace: list[TraceStep] = []
 
     while state.centres:
-        level, tight = heap[0]
+        _, level, tight = heap[0]
         if stale[tight]:
             stale[tight] = 0
             c = coeff[tight]
             if not c:
                 heapq.heappop(heap)
                 continue
-            true_level = (weight(tight) + offset[tight]) / c
+            w = weight(tight)
+            num, den = offset.get(tight, (0, 1))
+            true_level = Fraction(w.numerator * den + num * w.denominator,
+                                  w.denominator * den * c)
             if true_level != level:
-                heapq.heapreplace(heap, (true_level, tight))
+                heapq.heapreplace(heap, _key(true_level, tight))
                 continue
         heapq.heappop(heap)
         eps = level - raised
         raised = level
-        two_raised = 2 * raised
+        tn, td = (2 * raised).as_integer_ratio()
         dual_lb += eps * rank
         trace.append(TraceStep(amount=eps, selected=tight))
         selected.append(tight)
 
         # A centre that loses an edge loses 2; one that leaves S or falls to
         # degree t - 1 also takes 2 from each alive B-neighbour.
+        fallen = []
         for a in state.remove(tight):
             if a == tight:
                 rank -= coeff[a]
             else:
-                coeff[a] -= 2
-                offset[a] -= two_raised
-                stale[a] = 1
+                fallen.append(a)
                 rank -= 2
                 if deg[a] >= t:
                     continue
-            for b in adj[a]:
-                if alive[b]:
-                    coeff[b] -= 2
-                    offset[b] -= two_raised
-                    stale[b] = 1
+            fallen += [b for b in adj[a] if alive[b]]
+        for v in fallen:
+            coeff[v] -= 2
+            stale[v] = 1
+            # offset[v] -= tn / td, kept in lowest terms as Fraction._sub does
+            num, den = offset.get(v, (0, 1))
+            g1 = gcd(den, td)
+            s = den // g1
+            num = num * (td // g1) - tn * s
+            g2 = gcd(num, g1)
+            offset[v] = num // g2, s * (td // g2)
 
     return _finish(state, selected, dual_lb, "primal-dual", len(trace)), trace
 

@@ -5,10 +5,12 @@ These are the straightforward versions the event-driven solvers in
 rebuilds a `PolymatroidContext` and runs `find_claw`, and reverse
 deletion rescans the graph for every vertex. They are kept only to
 check the fast code against, and look their helpers up through the
-modules at call time so that tests can count those calls.
+modules at call time so that tests can count those calls. `write_trace`
+is the `--trace` writer that `clawdel.cli._write_trace` replaced.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 from clawdel import claws, polymatroid
 from clawdel.graphs import incident_edges
@@ -107,3 +109,13 @@ def local_ratio_solve(g):
         algorithm="local-ratio",
         iterations=rounds,
     )
+
+
+def write_trace(path, trace, vertices):
+    """Joins the whole active list again for every line, then writes once."""
+    lines = ["# dual trace (primal-dual): raise amount, tight vertex, active set"]
+    active = [str(v) for v in vertices]
+    for step in trace:
+        lines.append(f"raise {step.amount} tight {step.selected} active {' '.join(active)}")
+        active.remove(str(step.selected))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -5,6 +5,7 @@ import pytest
 from clawdel import (
     BipartiteGraph,
     SplitGraph,
+    claws,
     degree,
     find_claw,
     find_claw_split,
@@ -136,6 +137,21 @@ def test_claw_free_iff_degrees_below_t():
         g = random_bipartite(seed)
         free = find_claw(g) is None
         assert free == all(degree(g, a) <= g.t - 1 for a in g.a_side)
+
+
+def test_touched_ids_and_centre_candidates_match_a_full_scan():
+    graphs = [random_bipartite(seed, na_max=8, nb_max=10) for seed in range(60)]
+    graphs += [random_split(seed) for seed in range(20)]
+    graphs.append(BipartiteGraph(500, 900, frozenset({(3, 501), (3, 777), (3, 1400), (9, 600)}), 3))
+    for g in graphs:
+        assert g.touched == tuple(v for v in g.vertices if g.adj[v])
+        if isinstance(g, BipartiteGraph):
+            scan = [a for a in g.a_side if degree(g, a) >= g.t]
+            assert claws.centre_candidates(g) == scan
+            state = claws.DegreeState(g, removed=scan[:1])
+            assert state.centres == max(len(scan) - 1, 0)
+            assert state.centres == sum(map(state.is_centre, g.a_side))
+    assert claws.centre_candidates(graphs[-1]) == [3]
 
 
 def test_split_feasibility_implies_shadow_feasibility():

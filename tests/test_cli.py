@@ -1,11 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from clawdel import cli, oracle
+import reference_solvers as ref
+from clawdel import GenSpec, cli, generate, oracle, parse_auto, primal_dual_solve
 from clawdel.cli import main
 from clawdel.generate import FAMILIES
+from clawdel.solvers import TraceStep
 
 G1_TEXT = "p bip 1 4 4 3\ne 1 2\ne 1 3\ne 1 4\ne 1 5\n"
 MISMATCH_SPLIT = "p split 2 2 2 3\ne 1 3\ne 1 4\n"
@@ -58,6 +65,44 @@ def test_solve_trace_written(tmp_path, capsys):
     capsys.readouterr()
     body = trace.read_text()
     assert "raise 1/4 tight 1 active 1 2 3 4 5" in body
+
+
+def _trace_bytes(writer, path, trace, vertices):
+    writer(str(path), trace, vertices)
+    return path.read_bytes()
+
+
+# Tight ids next to surviving ids they are a prefix or suffix of (1 beside
+# 10, 11 and 21; 2 beside 12, 20 and 22), the last id, an empty trace, and
+# an empty graph.
+@pytest.mark.parametrize("n, selected", [
+    (30, [1, 11, 2, 21, 10, 12]),
+    (30, [30, 3, 29]),
+    (22, [21, 1, 22, 2, 20, 12, 11]),
+    (9, []),
+    (0, []),
+])
+def test_trace_writer_matches_the_reference_bytes(tmp_path, n, selected):
+    trace = [TraceStep(Fraction(k + 1, 3), v) for k, v in enumerate(selected)]
+    vertices = range(1, n + 1)
+    assert (_trace_bytes(cli._write_trace, tmp_path / "new.txt", trace, vertices)
+            == _trace_bytes(ref.write_trace, tmp_path / "old.txt", trace, vertices))
+
+
+def test_trace_writer_matches_the_reference_on_solved_instances(tmp_path):
+    graphs = [generate(GenSpec(family, 3, seed, sizes, ("uniform", 1, 9)))
+              for seed in range(3)
+              for family, sizes in (("bip-random", {"na": 12, "nb": 24, "m": 70}),
+                                    ("bip-dense", {"na": 9, "nb": 18}))]
+    # a header that declares thousands of isolated vertices around one claw
+    graphs.append(parse_auto(b"p bip 4000 6000 3 3\ne 7 4001\ne 7 4010\ne 7 10000\n"))
+    raises = 0
+    for g in graphs:
+        _, trace = primal_dual_solve(g)
+        raises += len(trace)
+        assert (_trace_bytes(cli._write_trace, tmp_path / "new.txt", trace, g.vertices)
+                == _trace_bytes(ref.write_trace, tmp_path / "old.txt", trace, g.vertices))
+    assert raises >= 30
 
 
 def test_solve_trace_requires_primal_dual(tmp_path, capsys):
@@ -373,3 +418,31 @@ def test_bench_unknown_algorithm(tmp_path, capsys):
 def test_unknown_subcommand_is_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_one_parser_serves_many_calls_like_fresh_processes(tmp_path, capsys, monkeypatch):
+    """Each call in one process prints and exits as `python -m clawdel` does."""
+    instance = write(tmp_path / "g1.bip", G1_TEXT)
+    solution = write(tmp_path / "sol.txt", "1\n")
+    calls = [
+        ["verify", "--input", instance, "--solution", solution],
+        ["solve", "--alg", "magic", "--input", instance],
+        ["gen", "--family", "bip-dense", "--seed", "+7", "--t", "3", "--na", "2", "--nb", "4",
+         "--output", str(tmp_path / "x.bip")],
+        ["verify", "--input", instance, "--solution", solution],
+        ["solve", "--help"],
+        ["verify", "--input", instance],
+        ["verify", "--input", instance, "--solution", solution],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "clawdel", *argv], capture_output=True,
+                               text=True, env=env, check=False)
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert cli._build_parser() is cli._build_parser()

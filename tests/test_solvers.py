@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from clawdel import (
     max_subgraph_solve,
     primal_dual_solve,
     solve,
+    solvers,
     theta_of_solution,
     to_split,
 )
@@ -86,6 +88,45 @@ def test_primal_dual_ties_on_a_stale_key_go_to_the_lowest_id(weights, steps):
     expected, expected_steps = ref.primal_dual_solve(g)
     assert [(s.amount, s.selected) for s in trace] == expected_steps == steps
     assert report == expected
+
+
+HUGE = 10**400
+TINY = Fraction(1, 10**400)
+E17 = 10**17
+
+
+# K_{2,4} at t = 3: every vertex starts at coefficient 4. The B-vertex tight
+# first takes both centres down to coefficient 2 (their keys go stale) and
+# leaves them centres of degree 3, so a second B-vertex ends the run.
+@pytest.mark.parametrize("weights, steps", [
+    # every level is near HUGE / 4: all prefixes overflow to inf
+    ({1: HUGE + 3, 2: HUGE + 2, 3: HUGE + 1, 4: HUGE, 5: HUGE + 5, 6: HUGE + 4},
+     [(Fraction(HUGE, 4), 4), (Fraction(1, 4), 3)]),
+    # levels near TINY: both prefixes underflow to 0.0; the higher id is lower
+    ({3: 2 * TINY, 4: TINY}, [(TINY / 4, 4), (TINY / 4, 3)]),
+    # (E17 + 1) / 4 and E17 / 4 round to one float: only the exact level decides
+    ({1: 10 * E17, 2: 10 * E17, 3: E17 + 1, 4: E17, 5: 10 * E17, 6: 10 * E17},
+     [(Fraction(E17, 4), 4), (Fraction(1, 4), 3)]),
+    # equal levels: the lower id wins, and the other is tight at a zero raise
+    ({1: 10 * E17, 2: 10 * E17, 3: E17, 4: E17, 5: 10 * E17, 6: 10 * E17},
+     [(Fraction(E17, 4), 3), (0, 4)]),
+])
+def test_primal_dual_keys_beyond_float_precision(weights, steps):
+    edges = frozenset((a, b) for a in (1, 2) for b in (3, 4, 5, 6))
+    g = BipartiteGraph(2, 4, edges, 3, weights)
+    report, trace = primal_dual_solve(g)
+    expected, expected_steps = ref.primal_dual_solve(g)
+    assert [(s.amount, s.selected) for s in trace] == expected_steps == steps
+    assert report == expected
+
+
+def test_heap_key_prefix_is_monotone_at_the_float_limits():
+    with pytest.raises(OverflowError):
+        float(Fraction(HUGE, 4))
+    assert solvers._key(Fraction(HUGE, 4), 4) == (math.inf, Fraction(HUGE, 4), 4)
+    assert solvers._key(TINY, 4)[0] == 0.0 < solvers._key(Fraction(1, 2**1074), 4)[0]
+    below, above = solvers._key(Fraction(E17, 4), 4), solvers._key(Fraction(E17 + 1, 4), 3)
+    assert below[0] == above[0] and below < above
 
 
 def test_primal_dual_dual_feasibility_and_tightness():
