@@ -12,6 +12,15 @@ index would still read a slot, so callers bounds-check with
 `v in g.vertices`. `touched` lists the ids that have an edge, so a pass
 that only cares about those skips the isolated ones.
 
+Public construction (`BipartiteGraph(...)`, `SplitGraph(...)`) validates
+its arguments, checking that each edge is a pair of in-range `int` ids
+and bucketing it under both endpoints in one loop; an id of another
+type, such as 2.5 or "2", is refused rather than converted. The
+parser builds graphs through the internal `_from_checked` constructor
+instead, from parts it has already checked, so a parsed graph is not
+validated twice. Both finish `adj` and `touched` through
+`_finish_adjacency`.
+
 All types are immutable after construction (`adj` is read-only by
 convention) and safe to share across threads. Derived adjacency is
 precomputed once, sorted, so every traversal in the package is
@@ -43,18 +52,25 @@ def _canonical_weights(weights: Mapping[int, object] | None, n_total: int) -> di
     return out
 
 
-def _sorted_adjacency(
-    n_total: int, edges: Iterable[Edge]
+def check_claw_parameter(t: int) -> None:
+    """Raise ValueError unless `t` is a valid claw parameter (>= 3)."""
+    if t < 3:
+        raise ValueError(f"claw parameter t must be >= 3, got {t}")
+
+
+def _finish_adjacency(
+    n_total: int, buckets: Mapping[int, list[int]]
 ) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """Adjacency by id, and the ids with at least one edge, ascending."""
-    touched: defaultdict[int, list[int]] = defaultdict(list)
-    for a, b in edges:
-        touched[a].append(b)
-        touched[b].append(a)
+    """Adjacency by id from neighbour buckets, and the ids with an edge, ascending.
+
+    `buckets` maps each id with at least one edge to its neighbours in
+    any order; the lists are sorted in place.
+    """
     adj: list[tuple[int, ...]] = [()] * (n_total + 1)
-    for v, ns in touched.items():
-        adj[v] = tuple(sorted(ns))
-    return adj, tuple(sorted(touched))
+    for v, ns in buckets.items():
+        ns.sort()
+        adj[v] = tuple(ns)
+    return adj, tuple(sorted(buckets))
 
 
 class _TwoSided:
@@ -72,20 +88,52 @@ class _TwoSided:
     def __post_init__(self) -> None:
         size1, size2, edges_field = self._fields
         n1, n2 = getattr(self, size1), getattr(self, size2)
-        if self.t < 3:
-            raise ValueError(f"claw parameter t must be >= 3, got {self.t}")
+        check_claw_parameter(self.t)
         if n1 < 0 or n2 < 0:
             raise ValueError("side sizes must be nonnegative")
         n = n1 + n2
-        edges = frozenset((int(u), int(v)) for u, v in getattr(self, edges_field))
+        edges = frozenset(getattr(self, edges_field))
+        buckets: defaultdict[int, list[int]] = defaultdict(list)
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"an id of edge ({u!r}, {v!r}) is not an int")
             if not 1 <= u <= n1:
                 raise ValueError(f"{self._labels[0]} index {u} out of range 1..{n1}")
             if not n1 < v <= n:
                 raise ValueError(f"{self._labels[1]} index {v} out of range {n1 + 1}..{n}")
+            buckets[u].append(v)
+            buckets[v].append(u)
+        self._set_parts(edges, _canonical_weights(self.weights, n), buckets)
+
+    @classmethod
+    def _from_checked(
+        cls, n1: int, n2: int, edges: frozenset[Edge], t: int,
+        weights: dict[int, Fraction], buckets: Mapping[int, list[int]],
+    ):
+        """A graph from parts the caller has already checked, without `__post_init__`.
+
+        The parser uses it: `edges` are distinct in-range (first, second)
+        pairs, `t >= 3`, `weights` holds only non-unit nonnegative
+        weights of existing ids, and `buckets` holds both endpoints of
+        every edge, as `__post_init__` would have built them.
+        """
+        self = object.__new__(cls)
+        size1, size2, _ = cls._fields
+        object.__setattr__(self, size1, n1)
+        object.__setattr__(self, size2, n2)
+        object.__setattr__(self, "t", t)
+        self._set_parts(edges, weights, buckets)
+        return self
+
+    def _set_parts(
+        self, edges: frozenset[Edge], weights: dict[int, Fraction],
+        buckets: Mapping[int, list[int]],
+    ) -> None:
+        """Store the edge set, the weights and the adjacency finished from `buckets`."""
+        size1, size2, edges_field = self._fields
+        adj, touched = _finish_adjacency(getattr(self, size1) + getattr(self, size2), buckets)
         object.__setattr__(self, edges_field, edges)
-        object.__setattr__(self, "weights", _canonical_weights(self.weights, n))
-        adj, touched = _sorted_adjacency(n, edges)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "touched", touched)
 
@@ -114,7 +162,7 @@ class _TwoSided:
 class BipartiteGraph(_TwoSided):
     """Bipartite graph with A-side ids 1..n_a and B-side ids n_a+1..n_a+n_b.
 
-    `edges` holds (a, b) pairs, `t` is the claw parameter (>= 3), and
+    `edges` holds (a, b) pairs of ints, `t` is the claw parameter (>= 3), and
     `weights` maps vertex ids to nonnegative rationals (missing = 1).
     """
 

@@ -106,9 +106,8 @@ def from_hypergraph_cover(hy: Hypergraph) -> tuple[BipartiteGraph, ReductionMap]
     for j, e in enumerate(hy.hyperedges, start=1):
         lo = (j - 1) * n + 1
         groups.append((f"e{j}", lo, lo + n - 1))
-        for i in range(n):
-            a_id = lo + i
-            edges.update((a_id, n_a + v) for v in e)
+        b_ids = [n_a + v for v in e]
+        edges.update([(a_id, b) for a_id in range(lo, lo + n) for b in b_ids])
     groups.append(("V", n_a + 1, n_a + n))
     warnings = tuple(
         f"hyperedge {j + 1} has no disjoint counterpart"

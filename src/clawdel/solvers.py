@@ -253,18 +253,22 @@ def local_ratio_solve(g: BipartiteGraph) -> SolveReport:
     amounts is a valid lower bound on the optimum, so the cost is at
     most (t + 1) times it. The witness is the one `find_claw` returns:
     the lowest centre with its lowest t alive neighbours. Centres only
-    disappear as vertices are removed, so the lowest one only moves up.
+    disappear as vertices are removed, so the lowest one only moves up
+    `state.candidates`. Only vertices with an edge join a witness, so
+    only they get a residual weight.
     """
-    residual = [g.weight(v) for v in range(g.n_vertices + 1)]  # by id; slot 0 unused
+    residual = {v: g.weight(v) for v in g.touched}
     state = DegreeState(g)
+    candidates = state.candidates
     selected: list[int] = []
     rounds = 0
     lower = Fraction(0)
-    centre = 1
+    i = 0
 
     while state.centres:
-        while not state.is_centre(centre):
-            centre += 1
+        while not state.is_centre(candidates[i]):
+            i += 1
+        centre = candidates[i]
         leaves = [b for b in g.adj[centre] if state.alive[b]][: g.t]
         verts = [centre, *leaves]  # sorted: A-ids precede B-ids
         eps = min(residual[v] for v in verts)

@@ -446,3 +446,29 @@ def test_one_parser_serves_many_calls_like_fresh_processes(tmp_path, capsys, mon
                                text=True, env=env, check=False)
         assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("p bip 200000000 0 0 3\n", ["solve", "--alg", "primal-dual"]),
+        ("p split 200000000 0 0 3\n", ["solve", "--alg", "primal-dual"]),
+        ("p hyp 200000000 0 3\n", ["reduce", "--kind", "hvc-osbcd", "--output", "out.bip"]),
+    ],
+)
+def test_oversized_header_exits_2_on_line_1(tmp_path, capsys, monkeypatch, text, argv):
+    monkeypatch.chdir(tmp_path)
+    instance = write(tmp_path / "huge.txt", text)
+    assert main(argv + ["--input", instance]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: line 1: header declares 200000000 vertices, "
+                   "more than the limit 5000000\n")
+    assert not (tmp_path / "out.bip").exists()
+
+
+@pytest.mark.parametrize("alg", ["primal-dual", "local-ratio"])
+def test_two_million_isolated_vertices_still_solve(tmp_path, capsys, alg):
+    instance = write(tmp_path / "wide.bip", "p bip 2000000 0 0 3\n")
+    assert main(["solve", "--alg", alg, "--input", instance, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["solution"], payload["cost"], payload["lower_bound"]) == ([], "0", "0")

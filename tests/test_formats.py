@@ -1,9 +1,14 @@
 import pytest
+import tracemalloc
 from fractions import Fraction
 
 from clawdel import (
     BipartiteGraph,
+    GenSpec,
+    Hypergraph,
     ParseError,
+    SplitGraph,
+    generate,
     parse_auto,
     parse_bipartite,
     parse_hypergraph,
@@ -13,6 +18,8 @@ from clawdel import (
     serialize_split,
     sniff_format,
 )
+from clawdel.formats import MAX_VERTICES
+from clawdel.generate import FAMILIES
 from conftest import random_bipartite
 
 G1_TEXT = "p bip 1 4 4 3\ne 1 2\ne 1 3\ne 1 4\ne 1 5"
@@ -123,3 +130,114 @@ def test_sniff_and_auto(g1, h2, hy1):
     assert isinstance(parse_auto(serialize_bipartite(g1)), BipartiteGraph)
     with pytest.raises(ParseError):
         sniff_format("hello world")
+
+
+def test_crlf_tabs_and_trailing_spaces_parse_like_the_canonical_text(g1):
+    canonical = parse_bipartite(G1_TEXT)
+    for text in (G1_TEXT.replace("\n", "\r\n") + "\r\n",
+                 G1_TEXT.replace(" ", "\t"),
+                 G1_TEXT.replace("\n", "  \n") + " \t",
+                 "\t" + G1_TEXT.replace(" ", " \t ")):
+        g = parse_bipartite(text)
+        assert g == g1
+        assert g.adj == canonical.adj and g.touched == canonical.touched
+
+
+def test_leading_zero_ids_are_accepted():
+    g = parse_bipartite("p bip 1 2 02 3\nn 003 5\ne 01 2\ne 1 0003")
+    assert g == BipartiteGraph(1, 2, frozenset({(1, 2), (1, 3)}), 3, {3: 5})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # each line is checked before the count, and the count before t
+        ("p bip 1 1 1 2\ne 1 3", "line 2: index 3 out of B-side range"),
+        ("p bip 1 1 1 2\ne 1 +2", "line 2: edge endpoint is not an integer: '+2'"),
+        ("p bip 1 1 2 2\ne 1 2", "header declares 2 edges but 1 were listed"),
+        ("p bip 1 1 1 2\ne 1 2", "line 1: claw parameter t must be >= 3, got 2"),
+        ("p split 1 1 1 2\ne 1 3", "line 2: index 3 out of independent-side range"),
+    ],
+)
+def test_error_precedence_over_a_bad_claw_parameter(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_auto(text)
+    assert str(err.value) == message
+
+
+def test_comment_line_between_edge_lines_is_skipped(g1):
+    text = "p bip 1 4 4 3\ne 1 2\n# a note\ne 1 3\n   #indented\ne 1 4\n\ne 1 5\n"
+    assert parse_bipartite(text) == g1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p bip 200000000 0 0 3",
+        f"p bip {MAX_VERTICES} 1 0 3",
+        "p bip 3000000 3000000 0 3",
+        "p split 200000000 0 0 3",
+        f"p hyp {MAX_VERTICES + 1} 0 3",
+    ],
+)
+def test_a_header_over_the_vertex_cap_is_refused_before_allocating(text):
+    n = sum(int(tok) for tok in text.split()[2:-2])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_auto(text.encode())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        f"line 1: header declares {n} vertices, more than the limit {MAX_VERTICES}")
+    assert peak < 100_000
+
+
+def test_a_header_at_the_vertex_cap_parses():
+    assert parse_hypergraph(f"p hyp {MAX_VERTICES} 0 3").n == MAX_VERTICES
+
+
+# Sizes with isolated vertices on both sides of the two-sided families.
+FAMILY_SIZES = {
+    "bip-random": {"na": 12, "nb": 30, "m": 40},
+    "bip-dense": {"na": 6, "nb": 12},
+    "hyp-uniform": {"n": 12, "m": 10},
+    "regular-graph": {"n": 10},
+    "split-random": {"nc": 8, "ni": 20, "m": 30},
+}
+SERIALIZERS = {BipartiteGraph: serialize_bipartite, SplitGraph: serialize_split,
+               Hypergraph: serialize_hypergraph}
+
+
+def _assert_parsed_like_public(text, public):
+    """`text` parses to `public`, bucketed the same, and serializes back to itself."""
+    parsed = parse_auto(text)
+    assert parsed == public
+    if not isinstance(public, Hypergraph):
+        assert parsed.adj == public.adj
+        assert parsed.touched == public.touched
+        assert parsed.weights == public.weights
+    assert SERIALIZERS[type(parsed)](parsed) == text
+
+
+@pytest.mark.parametrize("mode", [("unit",), ("uniform", 1, 9)])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_parsed_graph_is_built_like_the_public_constructor(family, mode):
+    for seed in range(3):
+        g = generate(GenSpec(family, 3, seed, FAMILY_SIZES[family], mode))
+        text = SERIALIZERS[type(g)](g)
+        _assert_parsed_like_public(text, g)
+        if not isinstance(g, Hypergraph):
+            # buckets filled in another order must come out sorted the same
+            header, *rest = text.rstrip("\n").split("\n")
+            shuffled = parse_auto("\n".join([header, *reversed(rest)]))
+            assert shuffled == g
+            assert shuffled.adj == g.adj and shuffled.touched == g.touched
+
+
+def test_isolated_vertex_header_is_built_like_the_public_constructor():
+    text = "p bip 4000 6000 3 3\ne 7 4001\ne 7 4010\ne 7 10000\n"
+    public = BipartiteGraph(4000, 6000, frozenset({(7, 4001), (7, 4010), (7, 10000)}), 3)
+    _assert_parsed_like_public(text, public)
+    assert public.touched == (7, 4001, 4010, 10000)

@@ -24,6 +24,14 @@ def test_bipartite_rejects_bad_parameters():
         BipartiteGraph(1, 1, frozenset(), 3, {1: -1})
 
 
+@pytest.mark.parametrize("edge", [(1, 2.5), (1.0, 2), ("1", 2), (True, 2), (1, Fraction(2))])
+def test_public_construction_rejects_ids_that_are_not_ints(edge):
+    # int() would have truncated 2.5 to 2 and taken "1" and True for 1
+    for cls in (BipartiteGraph, SplitGraph):
+        with pytest.raises(ValueError, match="is not an int$"):
+            cls(1, 1, frozenset({edge}), 3)
+
+
 def test_unit_weights_are_canonicalized():
     g = BipartiteGraph(1, 1, frozenset({(1, 2)}), 3, {1: 1, 2: Fraction(3, 2)})
     assert g.weights == {2: Fraction(3, 2)}
