@@ -2,11 +2,13 @@
 
 A bipartite instance asks for a minimum-weight vertex set whose removal
 leaves no induced K_{1,t} centered on the A side; a split instance asks
-the same for all induced K_{1,t}. The package provides the polymatroid
-machinery behind the primal-dual solver, a local-ratio baseline, a
-max-subgraph solver, exact branch-and-bound oracles for desk-scale
-verification, instance constructions, seeded generators, text formats,
-and the `clawdel` command line tool.
+the same for all induced K_{1,t}. The package provides an event-driven
+primal-dual solver, the polymatroid rank and dual-rank functions that
+define its covering program (a reference: the solver keeps them in
+closed form), a local-ratio baseline, a max-subgraph solver, exact
+branch-and-bound oracles for desk-scale verification, instance
+constructions, seeded generators, text formats, and the `clawdel`
+command line tool.
 """
 
 from .claws import (

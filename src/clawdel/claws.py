@@ -58,19 +58,31 @@ def find_claw_split(h: SplitGraph, removed: Iterable[int] = ()) -> ClawWitness |
     then the lexicographically smallest sorted leaf tuple. A clique leaf
     is below every independent id, so the lowest clique leaf that works
     wins over any all-independent leaf set.
+
+    Only clique vertices with an edge can be centres, so the scan walks
+    `h.touched`. A neighbour set is built only for a clique leaf that is
+    tried, and an alive clique vertex without edges always works as one,
+    so no clique leaf is tried past the first of those.
     """
-    gone = set(removed)
-    clique_alive = [c for c in h.clique_side if c not in gone]
-    nbrs = {c: set(h.adj[c]) for c in clique_alive}
-    for c in clique_alive:
-        ind = [b for b in h.adj[c] if b not in gone]
-        if len(ind) >= h.t - 1:
-            for c2 in clique_alive:
+    gone, t, adj = set(removed), h.t, h.adj
+    nbrs: dict[int, set[int]] = {}
+    for c in h.touched:
+        if c > h.n_clique:
+            break
+        if c in gone:
+            continue
+        ind = [b for b in adj[c] if b not in gone]
+        if len(ind) >= t - 1:
+            for c2 in h.clique_side:
+                if c2 == c or c2 in gone:
+                    continue
+                if c2 not in nbrs:
+                    nbrs[c2] = set(adj[c2])
                 avail = [b for b in ind if b not in nbrs[c2]]
-                if c2 != c and len(avail) >= h.t - 1:
-                    return ClawWitness(c, (c2, *avail[: h.t - 1]))
-        if len(ind) >= h.t:
-            return ClawWitness(c, tuple(ind[: h.t]))
+                if len(avail) >= t - 1:
+                    return ClawWitness(c, (c2, *avail[: t - 1]))
+        if len(ind) >= t:
+            return ClawWitness(c, tuple(ind[:t]))
     return None
 
 

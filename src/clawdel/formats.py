@@ -15,10 +15,12 @@ A header may declare at most MAX_VERTICES (5,000,000) vertices in all.
 A larger one is refused as a parse error on line 1, before anything of
 its size is allocated, so the command line exits 2 on it.
 
-A 'p bip' or 'p split' file is read in one pass that checks each line
-once, in file order, and buckets every edge under both endpoints as it
-goes; the first bad line is the one reported. The graph is then built
-from those checked parts without being validated a second time.
+Each format is read in one pass that checks each line once, in file
+order, so the first bad line is the one reported: 'p bip' and 'p split'
+bucket every edge under both endpoints as they go, and 'p hyp' checks
+each hyperedge by the rule `Hypergraph` uses. The graph is then built
+from those parts without being validated a second time. A token with
+more digits than int() converts (4,300 by default) is a bad token too.
 
 Serialization is canonical: comment lines first, then the header, then
 weight lines for non-unit weights in id order, then edges in sorted
@@ -36,7 +38,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
-from .graphs import BipartiteGraph, Hypergraph, SplitGraph, check_claw_parameter
+from .graphs import (BipartiteGraph, Hypergraph, SplitGraph, _check_hyperedge,
+                     _finish_adjacency, check_claw_parameter)
 
 _WEIGHT_RE = re.compile(r"^[0-9]+(/[1-9][0-9]*)?$")
 
@@ -77,7 +80,10 @@ def _rows(lines: list[str], after: int = 0) -> Iterator[tuple[int, list[str]]]:
 
 def int_field(token: str, what: str, line_no: int | None) -> int:
     if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:  # past the interpreter's integer string conversion limit
+            raise ParseError(f"{what} has too many digits", line_no) from None
     raise ParseError(f"{what} is not an integer: {token!r}", line_no)
 
 
@@ -129,7 +135,10 @@ def _parse_two_sided(
         if tag == "e" and len(tokens) == 3:
             _, su, sv = tokens
             if plain and su.isdigit() and sv.isdigit():
-                u, v = int(su), int(sv)
+                try:
+                    u, v = int(su), int(sv)
+                except ValueError:  # too many digits; int_field names the token
+                    u, v = (int_field(tok, "edge endpoint", line_no) for tok in (su, sv))
             else:
                 u = int_field(su, "edge endpoint", line_no)
                 v = int_field(sv, "edge endpoint", line_no)
@@ -154,7 +163,10 @@ def _parse_two_sided(
             if not _WEIGHT_RE.match(tokens[2]):
                 raise ParseError(f"bad weight {tokens[2]!r} (expected 'k' or 'p/q')", line_no)
             num, _, den = tokens[2].partition("/")
-            weights[v] = Fraction(int(num), int(den)) if den else Fraction(int(num))
+            try:
+                weights[v] = Fraction(int(num), int(den)) if den else Fraction(int(num))
+            except ValueError:  # past the interpreter's integer string conversion limit
+                raise ParseError("weight has too many digits", line_no) from None
         elif tag == "e":
             raise ParseError("edge line needs 'e <u> <v>'", line_no)
         elif tag[0] != "#":
@@ -166,7 +178,8 @@ def _parse_two_sided(
     except ValueError as exc:
         raise ParseError(str(exc), header_line) from exc
     weights = {v: w for v, w in weights.items() if w != 1}
-    return cls._from_checked(n1, n2, frozenset(edges), t, weights, buckets)
+    return cls._from_checked(n1, n2, frozenset(edges), t, weights,
+                             *_finish_adjacency(n_total, buckets))
 
 
 def _parse_hypergraph(
@@ -176,26 +189,20 @@ def _parse_hypergraph(
     if t < 2:
         raise ParseError(f"uniformity must be >= 2, got {t}", header_line)
     hyperedges: list[tuple[int, ...]] = []
-    seen: set[frozenset[int]] = set()
+    seen: set[tuple[int, ...]] = set()
     for line_no, toks in _rows(lines, header_line):
         if toks[0] != "h":
             raise ParseError(f"unknown line kind {toks[0]!r}", line_no)
         if len(toks) != 1 + t:
             raise ParseError(f"hyperedge line needs exactly {t} vertex ids", line_no)
-        vs = tuple(sorted(int_field(tok, "hyperedge vertex", line_no) for tok in toks[1:]))
-        if len(set(vs)) != t:
-            raise ParseError("hyperedge vertices must be distinct", line_no)
-        for v in vs:
-            if not 1 <= v <= n:
-                raise ParseError(f"vertex id {v} out of range 1..{n}", line_no)
-        key = frozenset(vs)
-        if key in seen:
-            raise ParseError(f"duplicate hyperedge {vs}", line_no)
-        seen.add(key)
-        hyperedges.append(vs)
+        vs = [int_field(tok, "hyperedge vertex", line_no) for tok in toks[1:]]
+        try:
+            hyperedges.append(_check_hyperedge(vs, n, t, seen))
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
     if len(hyperedges) != m:
         raise ParseError(f"header declares {m} hyperedges but {len(hyperedges)} were listed")
-    return Hypergraph(n, t, tuple(hyperedges))
+    return Hypergraph._from_checked(n, t, tuple(hyperedges))
 
 
 _PARSERS = {"bip": _parse_two_sided, "split": _parse_two_sided, "hyp": _parse_hypergraph}

@@ -81,12 +81,15 @@ def _draw_weights(rng: random.Random, spec: GenSpec, n_total: int) -> dict[int, 
 def _two_sided_random(
     cls: type, noun: str, rng: random.Random, spec: GenSpec, n1: int, n2: int, m: int
 ) -> BipartiteGraph | SplitGraph:
-    """m of the n1*n2 pairs between the two sides of a `cls` graph, drawn uniformly."""
-    pairs = [(u, n1 + v) for u in range(1, n1 + 1) for v in range(1, n2 + 1)]
-    if m > len(pairs):
+    """m of the n1*n2 pairs between the two sides of a `cls` graph, drawn uniformly.
+
+    Pair (u, n1 + v) has index (u - 1) * n2 + (v - 1), and the indices
+    are drawn without listing the pairs.
+    """
+    if m > n1 * n2:
         kind = cls.__name__.removesuffix("Graph").lower()
         raise ValueError(f"cannot place {m} {noun} in a {n1}x{n2} {kind} graph")
-    edges = frozenset(rng.sample(pairs, m))
+    edges = frozenset((i // n2 + 1, n1 + i % n2 + 1) for i in rng.sample(range(n1 * n2), m))
     return cls(n1, n2, edges, spec.t, _draw_weights(rng, spec, n1 + n2))
 
 

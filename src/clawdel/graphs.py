@@ -12,14 +12,13 @@ index would still read a slot, so callers bounds-check with
 `v in g.vertices`. `touched` lists the ids that have an edge, so a pass
 that only cares about those skips the isolated ones.
 
-Public construction (`BipartiteGraph(...)`, `SplitGraph(...)`) validates
-its arguments, checking that each edge is a pair of in-range `int` ids
-and bucketing it under both endpoints in one loop; an id of another
-type, such as 2.5 or "2", is refused rather than converted. The
-parser builds graphs through the internal `_from_checked` constructor
-instead, from parts it has already checked, so a parsed graph is not
-validated twice. Both finish `adj` and `touched` through
-`_finish_adjacency`.
+A graph is checked once, where it enters the program. Public
+construction validates; an id that is not an `int`, such as 2.5 or
+"2", is refused rather than converted. A two-sided edge is checked and
+bucketed under both endpoints in one loop, a hyperedge by
+`_check_hyperedge`. The parser, `to_split` and `cross_edge_shadow`
+build through the internal `_from_checked` constructors instead, from
+parts checked line by line or when the source graph was built.
 
 All types are immutable after construction (`adj` is read-only by
 convention) and safe to share across threads. Derived adjacency is
@@ -103,39 +102,26 @@ class _TwoSided:
                 raise ValueError(f"{self._labels[1]} index {v} out of range {n1 + 1}..{n}")
             buckets[u].append(v)
             buckets[v].append(u)
-        self._set_parts(edges, _canonical_weights(self.weights, n), buckets)
+        adj, touched = _finish_adjacency(n, buckets)
+        self.__dict__.update({edges_field: edges, "weights": _canonical_weights(self.weights, n),
+                              "adj": adj, "touched": touched})
 
     @classmethod
     def _from_checked(
-        cls, n1: int, n2: int, edges: frozenset[Edge], t: int,
-        weights: dict[int, Fraction], buckets: Mapping[int, list[int]],
+        cls, n1: int, n2: int, edges: frozenset[Edge], t: int, weights: dict[int, Fraction],
+        adj: list[tuple[int, ...]], touched: tuple[int, ...],
     ):
-        """A graph from parts the caller has already checked, without `__post_init__`.
+        """A graph from checked parts, stored as they are, without `__post_init__`.
 
-        The parser uses it: `edges` are distinct in-range (first, second)
-        pairs, `t >= 3`, `weights` holds only non-unit nonnegative
-        weights of existing ids, and `buckets` holds both endpoints of
-        every edge, as `__post_init__` would have built them.
+        `edges` are distinct in-range (first, second) pairs, `t >= 3`,
+        `weights` holds only non-unit nonnegative weights of existing
+        ids, and `_finish_adjacency` made `adj` and `touched` from them.
         """
         self = object.__new__(cls)
-        size1, size2, _ = cls._fields
-        object.__setattr__(self, size1, n1)
-        object.__setattr__(self, size2, n2)
-        object.__setattr__(self, "t", t)
-        self._set_parts(edges, weights, buckets)
+        size1, size2, edges_field = cls._fields
+        self.__dict__.update({size1: n1, size2: n2, edges_field: edges, "t": t,
+                              "weights": weights, "adj": adj, "touched": touched})
         return self
-
-    def _set_parts(
-        self, edges: frozenset[Edge], weights: dict[int, Fraction],
-        buckets: Mapping[int, list[int]],
-    ) -> None:
-        """Store the edge set, the weights and the adjacency finished from `buckets`."""
-        size1, size2, edges_field = self._fields
-        adj, touched = _finish_adjacency(getattr(self, size1) + getattr(self, size2), buckets)
-        object.__setattr__(self, edges_field, edges)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "touched", touched)
 
     @property
     def n_vertices(self) -> int:
@@ -155,7 +141,15 @@ class _TwoSided:
         return self.weights.get(v, _ONE)
 
     def total_weight(self, vs: Iterable[int]) -> Fraction:
-        return sum((self.weight(v) for v in vs), start=Fraction(0))
+        """The weight of `vs`: the stored weights, plus one for each other id."""
+        weights, units, total = self.weights, 0, Fraction(0)
+        for v in vs:
+            w = weights.get(v)
+            if w is None:
+                units += 1
+            else:
+                total += w
+        return total + units
 
 
 @dataclass(frozen=True)
@@ -215,6 +209,26 @@ class SplitGraph(_TwoSided):
         return range(self.n_clique + 1, len(self.adj))
 
 
+def _check_hyperedge(e: Iterable[int], n: int, t: int, seen: set) -> tuple[int, ...]:
+    """`e` sorted and added to `seen`; ValueError unless t distinct `int`s in 1..n, unseen."""
+    vs = tuple(e)
+    for v in vs:
+        if type(v) is not int:
+            raise ValueError(f"hyperedge vertex {v!r} is not an int")
+    vs = tuple(sorted(vs))
+    if len(vs) != t:
+        raise ValueError(f"hyperedge needs exactly {t} vertex ids")
+    if len(set(vs)) != t:
+        raise ValueError("hyperedge vertices must be distinct")
+    for v in vs:
+        if not 1 <= v <= n:
+            raise ValueError(f"vertex id {v} out of range 1..{n}")
+    if vs in seen:
+        raise ValueError(f"duplicate hyperedge {vs}")
+    seen.add(vs)
+    return vs
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """t-uniform hypergraph on vertices 1..n.
@@ -232,21 +246,16 @@ class Hypergraph:
             raise ValueError(f"uniformity must be >= 2, got {self.t}")
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen: set[frozenset[int]] = set()
-        normalized = []
-        for e in self.hyperedges:
-            vs = tuple(sorted(int(v) for v in e))
-            if len(set(vs)) != self.t or len(vs) != self.t:
-                raise ValueError(f"hyperedge {e} does not have exactly {self.t} distinct vertices")
-            for v in vs:
-                if not 1 <= v <= self.n:
-                    raise ValueError(f"hyperedge vertex {v} out of range 1..{self.n}")
-            key = frozenset(vs)
-            if key in seen:
-                raise ValueError(f"duplicate hyperedge {vs}")
-            seen.add(key)
-            normalized.append(vs)
-        object.__setattr__(self, "hyperedges", tuple(normalized))
+        seen: set[tuple[int, ...]] = set()
+        self.__dict__["hyperedges"] = tuple(
+            _check_hyperedge(e, self.n, self.t, seen) for e in self.hyperedges)
+
+    @classmethod
+    def _from_checked(cls, n: int, t: int, hyperedges: tuple[tuple[int, ...], ...]) -> Hypergraph:
+        """A hypergraph from hyperedges `_check_hyperedge` has passed, without `__post_init__`."""
+        self = object.__new__(cls)
+        self.__dict__.update(n=n, t=t, hyperedges=hyperedges)
+        return self
 
     @property
     def m(self) -> int:

@@ -7,7 +7,8 @@ invariant), so preserved source vertices land on the B side at a fixed
 offset. `map_solution` has one rule for both shifted constructions
 (`hvc-osbcd`, `vc-dense`): shift the preserved group V, then add or
 require the pad group P, which `hvc-osbcd` does not have. The split
-completion and its shadow keep every id and weight; the two cover
+completion and its shadow are the source read as the other two-sided
+kind, sharing its edges, weights and adjacency; the two cover
 constructions emit unit weights. A map survives its sidecar text
 unchanged: `read_map(write_map(r)) == r`.
 """
@@ -120,7 +121,7 @@ def from_hypergraph_cover(hy: Hypergraph) -> tuple[BipartiteGraph, ReductionMap]
 
 def to_split(g: BipartiteGraph) -> tuple[SplitGraph, ReductionMap]:
     """Complete the A side into a clique; ids, weights and t carry over."""
-    split = SplitGraph(g.n_a, g.n_b, g.edges, g.t, dict(g.weights))
+    split = SplitGraph._from_checked(g.n_a, g.n_b, g.edges, g.t, g.weights, g.adj, g.touched)
     rmap = ReductionMap(
         kind="osbcd-split",
         groups=(("clique", 1, g.n_a), ("independent", g.n_a + 1, g.n_vertices)),
@@ -130,7 +131,8 @@ def to_split(g: BipartiteGraph) -> tuple[SplitGraph, ReductionMap]:
 
 def cross_edge_shadow(h: SplitGraph) -> BipartiteGraph:
     """The split graph without its implicit clique edges; ids, weights and t carry over."""
-    return BipartiteGraph(h.n_clique, h.n_indep, h.cross_edges, h.t, dict(h.weights))
+    return BipartiteGraph._from_checked(h.n_clique, h.n_indep, h.cross_edges, h.t, h.weights,
+                                        h.adj, h.touched)
 
 
 def to_bipartite(h: SplitGraph) -> tuple[BipartiteGraph, ReductionMap]:

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from clawdel import BipartiteGraph, Hypergraph, SplitGraph
+from clawdel import BipartiteGraph, Hypergraph, SplitGraph, graphs
 
 
 @pytest.fixture
@@ -83,3 +84,14 @@ def brute_force_split_claw(h, removed=()):
             if all(not split_adjacent(h, u, v) for u, v in combinations(leaves, 2)):
                 return center, leaves
     return None
+
+
+def count_validations(monkeypatch):
+    """A Counter of `__post_init__` runs by graph class, from now until the test ends."""
+    runs = Counter()
+    for cls in (graphs._TwoSided, Hypergraph):
+        def counting(self, _original=cls.__post_init__):
+            runs[type(self).__name__] += 1
+            _original(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return runs

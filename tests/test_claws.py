@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -66,17 +67,44 @@ def test_split_claw_matches_brute_force():
             assert got == (center, tuple(sorted(leaves)))
 
 
+def _with_isolated_clique_vertices(h, rng):
+    """`h` with one to three edgeless clique vertices slotted in among its clique ids."""
+    k = rng.randint(1, 3)
+    n_clique = h.n_clique + k
+    isolated = set(rng.sample(range(1, n_clique + 1), k))
+    new_id = [0, *(c for c in range(1, n_clique + 1) if c not in isolated)]
+    edges = frozenset((new_id[c], i + k) for c, i in h.cross_edges)
+    return SplitGraph(n_clique, h.n_indep, edges, h.t)
+
+
 def test_split_claw_witness_equals_brute_force_with_removed_sets():
     # the exact witness, not only its existence: lowest centre, then the
-    # lexicographically smallest sorted leaf tuple
+    # lexicographically smallest sorted leaf tuple; an isolated clique
+    # vertex is never a centre but can be the clique leaf
     rng = random.Random(11)
     for seed in range(300):
-        h = random_split(seed, nc_max=5, ni_max=7)
-        for _ in range(4):
-            removed = {v for v in h.vertices if rng.random() < 0.2}
-            ours = find_claw_split(h, removed)
-            brute = brute_force_split_claw(h, removed)
-            assert (ours and (ours.center, ours.leaves)) == brute
+        base = random_split(seed, nc_max=5, ni_max=7)
+        for h in (base, _with_isolated_clique_vertices(base, rng)):
+            for _ in range(4):
+                removed = {v for v in h.vertices if rng.random() < 0.2}
+                ours = find_claw_split(h, removed)
+                brute = brute_force_split_claw(h, removed)
+                assert (ours and (ours.center, ours.leaves)) == brute
+
+
+def test_split_claw_search_spends_nothing_on_isolated_clique_vertices():
+    # 200,000 clique vertices, one with two cross edges: a set per clique
+    # vertex would take tens of MB
+    h = SplitGraph(200_000, 3, frozenset({(7, 200_001), (7, 200_002)}), 3)
+    tracemalloc.start()
+    try:
+        found = [find_claw_split(h), find_claw_split(h, {1, 2, 3}), find_claw_split(h, {7})]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [w and (w.center, w.leaves) for w in found] == [
+        (7, (1, 200_001, 200_002)), (7, (4, 200_001, 200_002)), None]
+    assert peak < 100_000
 
 
 def test_split_claw_centers_never_independent():

@@ -466,6 +466,22 @@ def test_oversized_header_exits_2_on_line_1(tmp_path, capsys, monkeypatch, text,
     assert not (tmp_path / "out.bip").exists()
 
 
+def test_a_token_with_too_many_digits_exits_2(tmp_path, capsys):
+    # int() refuses more than 4,300 digits by default; that is a bad input, not a crash
+    long = "9" * 5000
+    instance = write(tmp_path / "long.bip", f"p bip 1 1 1 3\ne 1 {long}\n")
+    assert main(["solve", "--alg", "primal-dual", "--input", instance]) == 2
+    assert capsys.readouterr().err == "error: line 2: edge endpoint has too many digits\n"
+    good = write(tmp_path / "g.bip", "p bip 1 1 1 3\ne 1 2\n")
+    solution = write(tmp_path / "long.sol", f"{long}\n")
+    assert main(["verify", "--input", good, "--solution", solution]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--family", "bip-random", "--seed", "1", "--t", "3", "--na", long,
+              "--nb", "1", "--m", "0", "--output", str(tmp_path / "out.bip")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out.bip").exists()
+
+
 @pytest.mark.parametrize("alg", ["primal-dual", "local-ratio"])
 def test_two_million_isolated_vertices_still_solve(tmp_path, capsys, alg):
     instance = write(tmp_path / "wide.bip", "p bip 2000000 0 0 3\n")

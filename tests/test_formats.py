@@ -20,7 +20,7 @@ from clawdel import (
 )
 from clawdel.formats import MAX_VERTICES
 from clawdel.generate import FAMILIES
-from conftest import random_bipartite
+from conftest import count_validations, random_bipartite
 
 G1_TEXT = "p bip 1 4 4 3\ne 1 2\ne 1 3\ne 1 4\ne 1 5"
 
@@ -198,6 +198,37 @@ def test_a_header_at_the_vertex_cap_parses():
     assert parse_hypergraph(f"p hyp {MAX_VERTICES} 0 3").n == MAX_VERTICES
 
 
+LONG = "9" * 5000  # more digits than int() converts by default (4,300)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(f"p bip 1 1 1 3\ne 1 {LONG}", "line 2: edge endpoint has too many digits",
+                     id="second-endpoint"),
+        pytest.param(f"p bip 1 1 1 3\ne {LONG} 2", "line 2: edge endpoint has too many digits",
+                     id="first-endpoint"),
+        # a non-ASCII comment sends every token through int_field
+        pytest.param(f"# \u00e9\np split 1 1 1 3\ne 1 {LONG}",
+                     "line 3: edge endpoint has too many digits", id="endpoint-not-ascii-text"),
+        pytest.param(f"p bip {LONG} 1 1 3\ne 1 2", "line 1: header field has too many digits",
+                     id="header"),
+        pytest.param(f"p bip 1 1 1 3\nn 1 {LONG}\ne 1 2", "line 2: weight has too many digits",
+                     id="weight"),
+        pytest.param(f"p bip 1 1 1 3\nn 1 1/{LONG}\ne 1 2", "line 2: weight has too many digits",
+                     id="weight-denominator"),
+        pytest.param(f"p bip 1 1 1 3\nn {LONG} 2\ne 1 2", "line 2: vertex id has too many digits",
+                     id="weight-id"),
+        pytest.param(f"p hyp 3 1 3\nh 1 2 {LONG}", "line 2: hyperedge vertex has too many digits",
+                     id="hyperedge"),
+    ],
+)
+def test_an_integer_token_with_too_many_digits_is_a_parse_error(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_auto(text)
+    assert str(err.value) == message
+
+
 # Sizes with isolated vertices on both sides of the two-sided families.
 FAMILY_SIZES = {
     "bip-random": {"na": 12, "nb": 30, "m": 40},
@@ -211,8 +242,12 @@ SERIALIZERS = {BipartiteGraph: serialize_bipartite, SplitGraph: serialize_split,
 
 
 def _assert_parsed_like_public(text, public):
-    """`text` parses to `public`, bucketed the same, and serializes back to itself."""
-    parsed = parse_auto(text)
+    """`text` parses to `public` without a second validation, bucketed the same,
+    and serializes back to itself."""
+    with pytest.MonkeyPatch.context() as mp:
+        runs = count_validations(mp)
+        parsed = parse_auto(text)
+    assert not runs
     assert parsed == public
     if not isinstance(public, Hypergraph):
         assert parsed.adj == public.adj

@@ -1,5 +1,7 @@
-import pytest
+import random
 from fractions import Fraction
+
+import pytest
 
 from clawdel import (
     BipartiteGraph,
@@ -30,6 +32,8 @@ def test_public_construction_rejects_ids_that_are_not_ints(edge):
     for cls in (BipartiteGraph, SplitGraph):
         with pytest.raises(ValueError, match="is not an int$"):
             cls(1, 1, frozenset({edge}), 3)
+    with pytest.raises(ValueError, match="is not an int$"):
+        Hypergraph(3, 3, (edge + (3,),))
 
 
 def test_unit_weights_are_canonicalized():
@@ -37,6 +41,14 @@ def test_unit_weights_are_canonicalized():
     assert g.weights == {2: Fraction(3, 2)}
     assert g.weight(1) == 1
     assert g.total_weight([1, 2]) == Fraction(5, 2)
+    # unit ids are counted, stored weights added: the same as a plain Fraction sum
+    for seed in range(30):
+        h = random_bipartite(seed, weighted=True)
+        rng = random.Random(seed)
+        for vs in ([], list(h.vertices), rng.choices(list(h.vertices), k=6)):
+            total = h.total_weight(iter(vs))
+            assert type(total) is Fraction
+            assert total == sum((h.weights.get(v, Fraction(1)) for v in vs), start=Fraction(0))
 
 
 def test_split_validation_and_sides():
@@ -53,12 +65,16 @@ def test_hypergraph_validation():
     hy = Hypergraph(6, 3, ((3, 1, 2), (4, 5, 6)))
     assert hy.hyperedges == ((1, 2, 3), (4, 5, 6))
     assert hy.m == 2
-    with pytest.raises(ValueError):
+    # the messages of the hyperedge rule, shared with the parser
+    with pytest.raises(ValueError, match="^hyperedge vertices must be distinct$"):
         Hypergraph(6, 3, ((1, 2, 2),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate hyperedge \(1, 2, 3\)$"):
         Hypergraph(6, 3, ((1, 2, 3), (3, 2, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^vertex id 3 out of range 1\.\.2$"):
         Hypergraph(2, 3, ((1, 2, 3),))
+    with pytest.raises(ValueError, match="^hyperedge needs exactly 3 vertex ids$"):
+        Hypergraph(6, 3, ((1, 2),))
+    assert Hypergraph(6, 3, [{5, 4, 6}, iter((3, 1, 2))]).hyperedges == ((4, 5, 6), (1, 2, 3))
     assert vertex_degrees(hy) == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
 
 

@@ -3,7 +3,9 @@ from itertools import combinations
 import pytest
 
 from clawdel import (
+    BipartiteGraph,
     Hypergraph,
+    ParseError,
     SplitGraph,
     degree,
     exact_min_deletion_set,
@@ -20,6 +22,8 @@ from clawdel import (
     to_split,
     write_map,
 )
+from clawdel.reductions import cross_edge_shadow
+from conftest import count_validations, random_bipartite
 
 
 def k4():
@@ -75,6 +79,22 @@ def test_split_round_trip(g1, g2, h2):
     assert split_of_g1.n_clique == 1
     back1, _ = to_bipartite(split_of_g1)
     assert back1 == g1
+
+
+def test_derived_graphs_share_the_parts_checked_at_construction(monkeypatch):
+    sources = [random_bipartite(seed, weighted=True) for seed in range(40)]
+    twins = [SplitGraph(g.n_a, g.n_b, g.edges, g.t, g.weights) for g in sources]
+    runs = count_validations(monkeypatch)
+    splits = [to_split(g)[0] for g in sources]
+    shadows = [cross_edge_shadow(h) for h in twins]
+    assert not runs
+    for g, twin, split, shadow in zip(sources, twins, splits, shadows):
+        assert split == twin and split.adj == twin.adj and split.touched == twin.touched
+        assert shadow == g and shadow.adj == g.adj and shadow.touched == g.touched
+        for source, derived in ((g, split), (twin, shadow)):
+            assert derived.adj is source.adj
+            assert derived.touched is source.touched
+            assert derived.weights is source.weights
 
 
 def test_split_feasibility_agrees_when_cross_edges_are_complete(h2, g2):
@@ -191,3 +211,5 @@ def test_read_map_rejects_non_ascii_integers():
     for line in ("g A +1 2", "g A 1 \u0661", "g A 1_0 12", "offset +3", "offset \uff13"):
         with pytest.raises(ValueError, match="is not an integer"):
             read_map(f"map hvc-osbcd\n{line}\n")
+    with pytest.raises(ParseError, match="^group bound has too many digits$"):
+        read_map(f"map hvc-osbcd\ng V 1 {'9' * 5000}\noffset 0\n")
