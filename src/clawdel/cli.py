@@ -47,7 +47,17 @@ from .reductions import (
 )
 from .solvers import ALGORITHMS, ShadowMismatchError, SolveReport, solve
 
-REDUCTION_KINDS = ("hvc-osbcd", "osbcd-split", "split-osbcd", "vc-dense")
+# Each kind: source class, least t, the requirement named when the input
+# falls short, and the construction, looked up when called (as in
+# `solvers._DELETION_SOLVERS`), so a wrapper replacing it here sees the call.
+REDUCTIONS = {
+    "hvc-osbcd": (Hypergraph, 3, "a 'p hyp' instance with t >= 3",
+                  lambda g: from_hypergraph_cover(g)),
+    "osbcd-split": (BipartiteGraph, 3, "a 'p bip' instance", lambda g: to_split(g)),
+    "split-osbcd": (SplitGraph, 3, "a 'p split' instance", lambda g: to_bipartite(g)),
+    "vc-dense": (Hypergraph, 2, "a 2-uniform 'p hyp' instance",
+                 lambda g: from_regular_graph_cover(g)),
+}
 BENCH_FIELDS = ("instance", "algorithm", "t", "cost", "lower_bound", "opt", "ratio", "theta",
                 "time_ms")
 EXIT_CODES = {ParseError: 2, OracleLimitError: 3, ShadowMismatchError: 1}
@@ -112,16 +122,19 @@ def _print_payload(payload: dict, as_json: bool) -> None:
 def _write_trace(path: str, trace, vertices: range) -> None:
     """One line per raise; the active set is the vertices not yet selected.
 
-    The active ids are one string with a space at each end, so each
-    tight id is cut out with one `str.replace` of " v " instead of a
-    re-join of every id, and the lines are written as they are made.
+    The active ids are one ASCII buffer with a space at each end, and
+    each tight id is cut out of it in place, so no step copies the set:
+    the lines are written from the buffer as they are made.
     """
-    active = " " + ("%d " * len(vertices)) % tuple(vertices)
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("# dual trace (primal-dual): raise amount, tight vertex, active set\n")
+    active = bytearray(b" " + b"%d " * len(vertices) % tuple(vertices))
+    with open(path, "wb") as out:
+        out.write(b"# dual trace (primal-dual): raise amount, tight vertex, active set\n")
         for step in trace:
-            out.write(f"raise {step.amount} tight {step.selected} active {active[1:-1]}\n")
-            active = active.replace(f" {step.selected} ", " ", 1)
+            out.write(f"raise {step.amount} tight {step.selected} active ".encode())
+            out.write(memoryview(active)[1:-1])
+            out.write(b"\n")
+            at = active.find(b" %d " % step.selected)
+            del active[at:at + len(b" %d" % step.selected)]
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -138,23 +151,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     g = _load(args.input)
+    source, least_t, requirement, construct = REDUCTIONS[args.kind]
+    if not isinstance(g, source) or g.t < least_t:
+        raise _CliError(f"{args.kind} needs {requirement}", 2)
     try:
-        if args.kind == "hvc-osbcd":
-            if not isinstance(g, Hypergraph) or g.t < 3:
-                raise _CliError("hvc-osbcd needs a 'p hyp' instance with t >= 3", 2)
-            out, rmap = from_hypergraph_cover(g)
-        elif args.kind == "osbcd-split":
-            if not isinstance(g, BipartiteGraph):
-                raise _CliError("osbcd-split needs a 'p bip' instance", 2)
-            out, rmap = to_split(g)
-        elif args.kind == "split-osbcd":
-            if not isinstance(g, SplitGraph):
-                raise _CliError("split-osbcd needs a 'p split' instance", 2)
-            out, rmap = to_bipartite(g)
-        else:
-            if not isinstance(g, Hypergraph):
-                raise _CliError("vc-dense needs a 2-uniform 'p hyp' instance", 2)
-            out, rmap = from_regular_graph_cover(g)
+        out, rmap = construct(g)
     except ValueError as exc:
         raise _CliError(str(exc), 2) from exc
 
@@ -310,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=_cmd_solve)
 
     p_reduce = sub.add_parser("reduce", help="run an instance construction")
-    p_reduce.add_argument("--kind", required=True, choices=REDUCTION_KINDS)
+    p_reduce.add_argument("--kind", required=True, choices=REDUCTIONS)
     p_reduce.add_argument("--input", required=True)
     p_reduce.add_argument("--output", required=True)
     p_reduce.add_argument("--map")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Mapping
 
-from .graphs import BipartiteGraph, Edge, Hypergraph, SplitGraph
+from .graphs import BipartiteGraph, Edge, Hypergraph, SplitGraph, _without_disjoint_partner
 
 RETRY_CAP = 10_000
 
@@ -126,10 +126,7 @@ def _hyp_uniform(rng: random.Random, spec: GenSpec, n: int, m: int) -> Hypergrap
             hyperedges.append(e)
         if len(hyperedges) < m:
             continue
-        if all(
-            any(set(e).isdisjoint(f) for f in hyperedges if f is not e)
-            for e in hyperedges
-        ):
+        if next(_without_disjoint_partner(hyperedges), None) is None:
             return Hypergraph(n, t, tuple(hyperedges))
     raise ValueError("retry budget exhausted while sampling a uniform hypergraph")
 

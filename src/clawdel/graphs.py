@@ -12,18 +12,21 @@ index would still read a slot, so callers bounds-check with
 `v in g.vertices`. `touched` lists the ids that have an edge, so a pass
 that only cares about those skips the isolated ones.
 
+Adjacency has one rule, `_finish_adjacency`: every builder hands over
+each first-side id's row of second-side neighbours, and the
+second-side lists are derived from the rows in id order, so they come
+out sorted. Every traversal in the package is therefore deterministic.
+
 A graph is checked once, where it enters the program. Public
 construction validates; an id that is not an `int`, such as 2.5 or
 "2", is refused rather than converted. A two-sided edge is checked and
-bucketed under both endpoints in one loop, a hyperedge by
-`_check_hyperedge`. The parser, `to_split` and `cross_edge_shadow`
-build through the internal `_from_checked` constructors instead, from
-parts checked line by line or when the source graph was built.
-
-All types are immutable after construction (`adj` is read-only by
-convention) and safe to share across threads. Derived adjacency is
-precomputed once, sorted, so every traversal in the package is
-deterministic.
+put in its first-side row in one loop, a hyperedge by
+`_check_hyperedge`. The parser, `to_split`, `cross_edge_shadow` and
+the cover constructions build through the internal `_from_checked`
+constructors from parts already checked: line by line, or when the
+source graph or hypergraph was built. All types are immutable after
+construction (`adj` is read-only by convention) and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 Edge = tuple[int, int]
 
@@ -58,18 +61,26 @@ def check_claw_parameter(t: int) -> None:
 
 
 def _finish_adjacency(
-    n_total: int, buckets: Mapping[int, list[int]]
+    n_total: int, rows: Mapping[int, Iterable[int]]
 ) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """Adjacency by id from neighbour buckets, and the ids with an edge, ascending.
+    """Adjacency by id from first-side rows, and the ids with an edge, ascending.
 
-    `buckets` maps each id with at least one edge to its neighbours in
-    any order; the lists are sorted in place.
+    `rows` maps each first-side id with at least one edge to its
+    second-side neighbours in any order, and one row may serve several
+    ids. This is the one place a second-side list is made: walking the
+    sorted rows in id order appends each first-side id to its
+    neighbours' lists, so they come out sorted without a sort.
     """
     adj: list[tuple[int, ...]] = [()] * (n_total + 1)
-    for v, ns in buckets.items():
-        ns.sort()
-        adj[v] = tuple(ns)
-    return adj, tuple(sorted(buckets))
+    columns: defaultdict[int, list[int]] = defaultdict(list)
+    first = sorted(rows)
+    for u in first:
+        adj[u] = row = tuple(sorted(rows[u]))
+        for v in row:
+            columns[v].append(u)
+    for v, us in columns.items():
+        adj[v] = tuple(us)
+    return adj, (*first, *sorted(columns))
 
 
 class _TwoSided:
@@ -92,7 +103,7 @@ class _TwoSided:
             raise ValueError("side sizes must be nonnegative")
         n = n1 + n2
         edges = frozenset(getattr(self, edges_field))
-        buckets: defaultdict[int, list[int]] = defaultdict(list)
+        rows: defaultdict[int, list[int]] = defaultdict(list)
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"an id of edge ({u!r}, {v!r}) is not an int")
@@ -100,9 +111,8 @@ class _TwoSided:
                 raise ValueError(f"{self._labels[0]} index {u} out of range 1..{n1}")
             if not n1 < v <= n:
                 raise ValueError(f"{self._labels[1]} index {v} out of range {n1 + 1}..{n}")
-            buckets[u].append(v)
-            buckets[v].append(u)
-        adj, touched = _finish_adjacency(n, buckets)
+            rows[u].append(v)
+        adj, touched = _finish_adjacency(n, rows)
         self.__dict__.update({edges_field: edges, "weights": _canonical_weights(self.weights, n),
                               "adj": adj, "touched": touched})
 
@@ -264,6 +274,14 @@ class Hypergraph:
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
+
+
+def _without_disjoint_partner(hyperedges: Iterable[tuple[int, ...]]) -> Iterator[int]:
+    """The index of each hyperedge that meets every hyperedge, in order, lazily."""
+    for i, e in enumerate(hyperedges):
+        mine = set(e)
+        if not any(mine.isdisjoint(f) for f in hyperedges):
+            yield i
 
 
 def vertex_degrees(hy: Hypergraph) -> dict[int, int]:

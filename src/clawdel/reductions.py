@@ -8,9 +8,12 @@ offset. `map_solution` has one rule for both shifted constructions
 (`hvc-osbcd`, `vc-dense`): shift the preserved group V, then add or
 require the pad group P, which `hvc-osbcd` does not have. The split
 completion and its shadow are the source read as the other two-sided
-kind, sharing its edges, weights and adjacency; the two cover
-constructions emit unit weights. A map survives its sidecar text
-unchanged: `read_map(write_map(r)) == r`.
+kind, sharing its edges, weights and adjacency. The two cover
+constructions emit unit weights and are built from checked parts: the
+source hypergraph was checked when it was built, so each hands one
+row of B-neighbours per gadget vertex to `graphs._finish_adjacency`,
+with no edge re-checked or re-sorted; only t is checked. A map
+survives its sidecar text unchanged: `read_map(write_map(r)) == r`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from typing import Iterable
 
 from .claws import find_claw, find_claw_split
 from .formats import int_field
-from .graphs import BipartiteGraph, Edge, Hypergraph, SplitGraph, vertex_degrees
+from .graphs import (BipartiteGraph, Hypergraph, SplitGraph, _finish_adjacency,
+                     _without_disjoint_partner, check_claw_parameter, vertex_degrees)
 
 ADVISORY_ORACLE_LIMIT = 12
 
@@ -83,11 +87,12 @@ def read_map(text: str) -> ReductionMap:
     return ReductionMap(kind, tuple(groups), offset, tuple(warnings))
 
 
-def _has_disjoint_partner(hy: Hypergraph, idx: int) -> bool:
-    mine = set(hy.hyperedges[idx])
-    return any(
-        j != idx and mine.isdisjoint(other) for j, other in enumerate(hy.hyperedges)
-    )
+def _gadget_graph(n_a: int, n_b: int, t: int, rows: dict[int, list[int]]) -> BipartiteGraph:
+    """The unit-weight graph whose A-vertex a has the B-neighbours `rows[a]`; only t is checked."""
+    check_claw_parameter(t)
+    edges = frozenset((a, b) for a, row in rows.items() for b in row)
+    return BipartiteGraph._from_checked(n_a, n_b, edges, t, {},
+                                        *_finish_adjacency(n_a + n_b, rows))
 
 
 def from_hypergraph_cover(hy: Hypergraph) -> tuple[BipartiteGraph, ReductionMap]:
@@ -100,22 +105,17 @@ def from_hypergraph_cover(hy: Hypergraph) -> tuple[BipartiteGraph, ReductionMap]
     partner: the construction still stands, but the minimal-solution
     correspondence argument leans on that property.
     """
-    n, m, t = hy.n, hy.m, hy.t
-    n_a = m * n
-    edges: set[Edge] = set()
+    n, n_a = hy.n, hy.m * hy.n
+    rows: dict[int, list[int]] = {}
     groups: list[tuple[str, int, int]] = []
     for j, e in enumerate(hy.hyperedges, start=1):
         lo = (j - 1) * n + 1
         groups.append((f"e{j}", lo, lo + n - 1))
-        b_ids = [n_a + v for v in e]
-        edges.update([(a_id, b) for a_id in range(lo, lo + n) for b in b_ids])
+        rows.update(dict.fromkeys(range(lo, lo + n), [n_a + v for v in e]))
     groups.append(("V", n_a + 1, n_a + n))
-    warnings = tuple(
-        f"hyperedge {j + 1} has no disjoint counterpart"
-        for j in range(m)
-        if not _has_disjoint_partner(hy, j)
-    )
-    graph = BipartiteGraph(n_a, n, frozenset(edges), t)
+    graph = _gadget_graph(n_a, n, hy.t, rows)
+    warnings = tuple(f"hyperedge {j + 1} has no disjoint counterpart"
+                     for j in _without_disjoint_partner(hy.hyperedges))
     return graph, ReductionMap("hvc-osbcd", tuple(groups), warnings=warnings)
 
 
@@ -169,8 +169,7 @@ def from_regular_graph_cover(g: Hypergraph) -> tuple[BipartiteGraph, ReductionMa
     """
     if g.t != 2:
         raise ValueError(f"expected a 2-uniform hypergraph, got uniformity {g.t}")
-    degs = vertex_degrees(g)
-    values = set(degs.values())
+    values = set(vertex_degrees(g).values())
     if len(values) != 1:
         raise ValueError(f"input graph is not regular: degrees {sorted(values)}")
     t = values.pop()
@@ -179,31 +178,21 @@ def from_regular_graph_cover(g: Hypergraph) -> tuple[BipartiteGraph, ReductionMa
     n, m = g.n, g.m
     x = t // 2 - 1
     pad = t - 2 if t % 2 == 0 else t - 1
-
-    n_copies = 2 * n
-    n_a = n_copies * m
+    n_a = 2 * n * m
     n_b = (x + 1) * n + pad
     pad_lo = n_a + (x + 1) * n + 1
 
-    edges: set[Edge] = set()
-    for block in range(n_copies):
-        for k, (u, v) in enumerate(g.hyperedges, start=1):
-            a_id = block * m + k
-            for c in range(x + 1):
-                base = n_a + c * n
-                edges.add((a_id, base + u))
-                edges.add((a_id, base + v))
-            edges.update((a_id, p) for p in range(pad_lo, pad_lo + pad))
-
-    groups: list[tuple[str, int, int]] = [("E", 1, m)]
-    groups.extend(
-        (f"E{j}", j * m + 1, (j + 1) * m) for j in range(1, n_copies)
-    )
-    groups.append(("V", n_a + 1, n_a + n))
-    groups.extend(
-        (f"V{c}", n_a + c * n + 1, n_a + (c + 1) * n) for c in range(1, x + 1)
-    )
-    groups.append(("P", pad_lo, pad_lo + pad - 1))
+    # The A-vertex of edge k has the same row in each of the 2n blocks: both
+    # ends in each copy of V, then the pad group.
+    pads = list(range(pad_lo, pad_lo + pad))
+    edge_rows = [[n_a + c * n + w for c in range(x + 1) for w in e] + pads
+                 for e in g.hyperedges]
+    rows = {block * m + k: row for block in range(2 * n)
+            for k, row in enumerate(edge_rows, start=1)}
+    groups = [("E", 1, m), *((f"E{j}", j * m + 1, (j + 1) * m) for j in range(1, 2 * n)),
+              ("V", n_a + 1, n_a + n),
+              *((f"V{c}", n_a + c * n + 1, n_a + (c + 1) * n) for c in range(1, x + 1)),
+              ("P", pad_lo, pad_lo + pad - 1)]
 
     warnings: list[str] = []
     if n <= ADVISORY_ORACLE_LIMIT:
@@ -211,20 +200,11 @@ def from_regular_graph_cover(g: Hypergraph) -> tuple[BipartiteGraph, ReductionMa
 
         _, vc = exact_min_vc_graph(g)
         if vc <= pad:
-            warnings.append(
-                f"minimum vertex cover {vc} is not larger than the pad size {pad}"
-            )
+            warnings.append(f"minimum vertex cover {vc} is not larger than the pad size {pad}")
     else:
         warnings.append("vertex-cover-versus-pad-size check skipped: input too large")
-
-    graph = BipartiteGraph(n_a, n_b, frozenset(edges), t)
-    rmap = ReductionMap(
-        kind="vc-dense",
-        groups=tuple(groups),
-        offset=pad,
-        warnings=tuple(warnings),
-    )
-    return graph, rmap
+    rmap = ReductionMap("vc-dense", tuple(groups), pad, tuple(warnings))
+    return _gadget_graph(n_a, n_b, t, rows), rmap
 
 
 def _require(condition: bool, message: str) -> None:

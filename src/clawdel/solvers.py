@@ -307,17 +307,19 @@ def max_subgraph_solve(g: BipartiteGraph | SplitGraph) -> tuple[tuple[int, ...],
     is claw free on its own (A or B of a bipartite graph; the clique
     side has no induced claws and the independent side no edges), so
     the winner always induces a claw-free subgraph. Ties prefer V minus
-    S, then the A or clique side.
+    S, then the A or clique side. Only the winner's ids are listed.
     """
-    candidates = list(map(list, g.sides))
+    candidates = [(side, g.total_weight(side)) for side in g.sides]
     try:
-        deleted = set(solve(g, "primal-dual")[0].solution)
+        report = solve(g, "primal-dual")[0]
     except ShadowMismatchError:
         pass
     else:
-        candidates.insert(0, [v for v in g.vertices if v not in deleted])
-    pick = max(candidates, key=g.total_weight)  # the first of equal weights
-    return tuple(sorted(pick)), g.total_weight(pick)
+        deleted = set(report.solution)
+        candidates.insert(0, ((v for v in g.vertices if v not in deleted),
+                              g.total_weight(g.vertices) - report.cost))
+    pick, weight = max(candidates, key=lambda c: c[1])  # the first of equal weights
+    return tuple(pick), weight
 
 
 # Each entry looks its solver up when called, so a module attribute

@@ -246,6 +246,42 @@ def test_reduce_wrong_input_kind_messages(tmp_path, capsys, kind, text, message)
     assert not out.exists()
 
 
+def test_reduce_hvc_osbcd_refuses_a_hypergraph_with_t_below_3(tmp_path, capsys):
+    instance = write(tmp_path / "pairs.hyp", "p hyp 4 2 2\nh 1 2\nh 3 4\n")
+    out = tmp_path / "o.bip"
+    assert main(["reduce", "--kind", "hvc-osbcd", "--input", instance, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: hvc-osbcd needs a 'p hyp' instance with t >= 3\n"
+    assert not out.exists()
+
+
+def test_reduce_kind_choices_are_the_reduction_table_keys():
+    import argparse
+
+    commands = next(a for a in cli._build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    kind = next(a for a in commands.choices["reduce"]._actions if a.dest == "kind")
+    assert list(kind.choices) == list(cli.REDUCTIONS)
+    assert list(cli.REDUCTIONS) == ["hvc-osbcd", "osbcd-split", "split-osbcd", "vc-dense"]
+
+
+@pytest.mark.parametrize("kind, name, text", [
+    ("hvc-osbcd", "from_hypergraph_cover", "p hyp 6 2 3\nh 1 2 3\nh 4 5 6\n"),
+    ("osbcd-split", "to_split", G1_TEXT),
+    ("split-osbcd", "to_bipartite", MISMATCH_SPLIT),
+    ("vc-dense", "from_regular_graph_cover",
+     "p hyp 4 6 2\nh 1 2\nh 1 3\nh 1 4\nh 2 3\nh 2 4\nh 3 4\n"),
+])
+def test_reduce_looks_its_construction_up_when_called(tmp_path, monkeypatch, kind, name, text):
+    # a wrapper installed on the cli module's name (as a profiler does) sees the call
+    calls = []
+    original = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda g: calls.append(g) or original(g))
+    instance = write(tmp_path / "in.txt", text)
+    assert main(["reduce", "--kind", kind, "--input", instance,
+                 "--output", str(tmp_path / "o.txt")]) == 0
+    assert len(calls) == 1
+
+
 def test_gen_writes_deterministic_instance(tmp_path):
     out1, out2 = tmp_path / "a.bip", tmp_path / "b.bip"
     args = ["gen", "--family", "bip-dense", "--seed", "7", "--t", "3",

@@ -276,3 +276,18 @@ def test_isolated_vertex_header_is_built_like_the_public_constructor():
     public = BipartiteGraph(4000, 6000, frozenset({(7, 4001), (7, 4010), (7, 10000)}), 3)
     _assert_parsed_like_public(text, public)
     assert public.touched == (7, 4001, 4010, 10000)
+
+
+def test_serializing_a_large_graph_holds_one_string_per_row():
+    # the shape of a hypergraph-cover gadget graph: many A-vertices of degree 3
+    g = BipartiteGraph(60_000, 3, frozenset((a, 60_000 + b) for a in range(1, 60_001)
+                                           for b in (1, 2, 3)), 3)
+    tracemalloc.start()
+    try:
+        text = serialize_bipartite(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\ne ") == 180_000 and text.endswith("e 60000 60003\n")
+    # one string per edge peaked at ~7.6x the text's length, one per row at ~4.4x
+    assert peak < 6 * len(text)

@@ -69,6 +69,61 @@ def test_hypergraph_cover_equality_sweep():
         assert vc == opt
 
 
+def _hvc_by_definition(hy):
+    """Gadget j is n A-vertices, each adjacent to the t vertices of hyperedge j."""
+    n_a = hy.m * hy.n
+    edges = {(j * hy.n + i, n_a + v) for j, e in enumerate(hy.hyperedges)
+             for i in range(1, hy.n + 1) for v in e}
+    return BipartiteGraph(n_a, hy.n, edges, hy.t)
+
+
+def _vc_dense_by_definition(g):
+    """2n copies of the edges on A; each copy joins both ends in every copy of V and all of P."""
+    t = 2 * g.m // g.n
+    x, pad = t // 2 - 1, t - 2 if t % 2 == 0 else t - 1
+    n_a = 2 * g.n * g.m
+    edges = set()
+    for block in range(2 * g.n):
+        for k, (u, v) in enumerate(g.hyperedges, start=1):
+            a = block * g.m + k
+            edges.update((a, n_a + c * g.n + w) for c in range(x + 1) for w in (u, v))
+            edges.update((a, n_a + (x + 1) * g.n + p) for p in range(1, pad + 1))
+    return BipartiteGraph(n_a, (x + 1) * g.n + pad, edges, t)
+
+
+def test_cover_constructions_build_from_checked_parts(monkeypatch):
+    hyps = [generate(GenSpec("hyp-uniform", t, seed, {"n": 2 * t + 1 + seed % 3,
+                                                      "m": 2 + seed % 4}))
+            for seed in range(12) for t in (3, 4)]
+    hyps += [Hypergraph(n, t, tuple(combinations(range(1, n + 1), t)))
+             for t, n in ((3, 6), (3, 7), (4, 8))]
+    hyps += [Hypergraph(3, 3, ((1, 2, 3),)), Hypergraph(5, 3, ())]
+    regular = [generate(GenSpec("regular-graph", d, seed, {"n": 2 * d + 2 * (seed % 2)}))
+               for seed in range(6) for d in (3, 4)] + [k4()]
+    runs = count_validations(monkeypatch)
+    built = [from_hypergraph_cover(hy)[0] for hy in hyps]
+    built += [from_regular_graph_cover(g)[0] for g in regular]
+    assert not runs
+    twins = [_hvc_by_definition(hy) for hy in hyps] + [_vc_dense_by_definition(g) for g in regular]
+    assert len(built) >= 40
+    for g, twin in zip(built, twins):
+        assert g == twin and g.adj == twin.adj and g.touched == twin.touched
+        assert g.weights == {}
+
+
+def test_hypergraph_cover_refuses_a_claw_parameter_below_3():
+    with pytest.raises(ValueError, match=r"^claw parameter t must be >= 3, got 2$"):
+        from_hypergraph_cover(Hypergraph(4, 2, ((1, 2), (3, 4))))
+
+
+def test_hypergraph_cover_warns_once_per_hyperedge_meeting_every_other():
+    hy = Hypergraph(7, 3, ((1, 2, 3), (4, 5, 6), (1, 4, 7), (2, 5, 7)))
+    # (1, 2, 3) and (4, 5, 6) are disjoint; (1, 4, 7) and (2, 5, 7) meet every hyperedge
+    _, rmap = from_hypergraph_cover(hy)
+    assert rmap.warnings == ("hyperedge 3 has no disjoint counterpart",
+                             "hyperedge 4 has no disjoint counterpart")
+
+
 def test_split_round_trip(g1, g2, h2):
     split_of_g2, rmap = to_split(g2)
     assert split_of_g2 == h2

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -319,3 +320,39 @@ def test_split_max_subgraph_keeps_a_claw_free_set():
     assert mismatches >= 30
     tie = SplitGraph(2, 2, frozenset({(1, 3), (1, 4)}), 3)
     assert max_subgraph_solve(tie) == ((1, 2), 2)  # equal sides: the clique side wins
+
+
+def _max_subgraph_by_listing(g):
+    """Every candidate listed as ids, then weighed: V minus S, then each side."""
+    candidates = [list(side) for side in g.sides]
+    try:
+        deleted = set(solve(g, "primal-dual")[0].solution)
+    except ShadowMismatchError:
+        pass
+    else:
+        candidates.insert(0, [v for v in g.vertices if v not in deleted])
+    pick = max(candidates, key=g.total_weight)
+    return tuple(pick), g.total_weight(pick)
+
+
+def test_max_subgraph_equals_weighing_listed_candidates():
+    sizes = {"bip-random": {"na": 6, "nb": 10, "m": 25}, "bip-dense": {"na": 5, "nb": 8},
+             "split-random": {"nc": 5, "ni": 9, "m": 18}}
+    for seed in range(60):
+        family = list(sizes)[seed % 3]
+        mode = ("unit",) if seed % 2 else ("uniform", 0, 4)
+        g = generate(GenSpec(family, 3 + seed % 2, seed, sizes[family], mode))
+        assert max_subgraph_solve(g) == _max_subgraph_by_listing(g)
+
+
+def test_max_subgraph_lists_only_the_winner():
+    g = SplitGraph(100_000, 100_000, frozenset(), 3)
+    tracemalloc.start()
+    try:
+        kept, weight = max_subgraph_solve(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept == tuple(g.vertices) and weight == 200_000
+    # the winner alone is ~7 MB; listing every candidate took ~19 MB
+    assert peak < 12_000_000
