@@ -111,7 +111,8 @@ def _print_payload(payload: dict, as_json: bool) -> None:
         print(json.dumps(payload))
         return
     print(f"algorithm: {payload['algorithm']}")
-    print("solution: " + " ".join(str(v) for v in payload["solution"]))
+    ids = payload["solution"]
+    print("solution:", " ".join(["%d"] * len(ids)) % tuple(ids))
     for key in ("cost", "lower_bound", "theta"):
         value = payload[key]
         print(f"{key}: {'-' if value is None else value}")

@@ -177,8 +177,7 @@ def _parse_two_sided(
     except ValueError as exc:
         raise ParseError(str(exc), header_line) from exc
     weights = {v: w for v, w in weights.items() if w != 1}
-    return cls._from_checked(n1, n2, frozenset(edges), t, weights,
-                             *_finish_adjacency(n_total, rows))
+    return cls._from_checked(n1, n2, t, weights, *_finish_adjacency(n_total, rows))
 
 
 def _parse_hypergraph(
@@ -236,7 +235,7 @@ def _serialize_two_sided(
 ) -> str:
     first, second = g.sides
     lines = _comment_block(comments)
-    m = len(getattr(g, g._fields[2]))
+    m = sum(len(g.adj[u]) for u in first)
     lines.append(f"p {kind} {len(first)} {len(second)} {m} {g.t}")
     lines.extend(f"n {v} {g.weights[v]}" for v in sorted(g.weights))
     # One string per first-side row, not one per edge: on rows of three edges

@@ -89,7 +89,7 @@ def _two_sided_random(
     if m > n1 * n2:
         kind = cls.__name__.removesuffix("Graph").lower()
         raise ValueError(f"cannot place {m} {noun} in a {n1}x{n2} {kind} graph")
-    edges = frozenset((i // n2 + 1, n1 + i % n2 + 1) for i in rng.sample(range(n1 * n2), m))
+    edges = ((i // n2 + 1, n1 + i % n2 + 1) for i in rng.sample(range(n1 * n2), m))
     return cls(n1, n2, edges, spec.t, _draw_weights(rng, spec, n1 + n2))
 
 
@@ -102,7 +102,7 @@ def _bip_dense(rng: random.Random, spec: GenSpec, na: int, nb: int) -> Bipartite
     for a in range(1, na + 1):
         deg = rng.randint(dmin, nb)
         edges.update((a, b) for b in rng.sample(b_ids, deg))
-    return BipartiteGraph(na, nb, frozenset(edges), spec.t, _draw_weights(rng, spec, na + nb))
+    return BipartiteGraph(na, nb, edges, spec.t, _draw_weights(rng, spec, na + nb))
 
 
 def _hyp_uniform(rng: random.Random, spec: GenSpec, n: int, m: int) -> Hypergraph:

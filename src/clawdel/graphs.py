@@ -9,8 +9,10 @@ Both graph kinds are one two-sided structure (a split graph leaves its
 clique edges implicit) and share one validator and one set of helpers.
 Adjacency `adj` is a list indexed by id with slot 0 empty; a negative
 index would still read a slot, so callers bounds-check with
-`v in g.vertices`. `touched` lists the ids that have an edge, so a pass
-that only cares about those skips the isolated ones.
+`v in g.vertices`. Edges are stored once, as the first-side rows of
+`adj`, and `edges` (`cross_edges` on a split graph) builds a frozenset
+from the rows on each access. `touched` lists the ids that have an
+edge, so a pass that only cares about those skips the isolated ones.
 
 Adjacency has one rule, `_finish_adjacency`: every builder hands over
 each first-side id's row of second-side neighbours, and the
@@ -19,8 +21,9 @@ out sorted. Every traversal in the package is therefore deterministic.
 
 A graph is checked once, where it enters the program. Public
 construction validates; an id that is not an `int`, such as 2.5 or
-"2", is refused rather than converted. A two-sided edge is checked and
-put in its first-side row in one loop, a hyperedge by
+"2", is refused rather than converted, in an edge and as a weight key
+alike. A two-sided edge is checked and put in its first-side row in
+one loop, where a repeated pair is merged, a hyperedge by
 `_check_hyperedge`. The parser, `to_split`, `cross_edge_shadow` and
 the cover constructions build through the internal `_from_checked`
 constructors from parts already checked: line by line, or when the
@@ -32,7 +35,7 @@ across threads.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -44,6 +47,8 @@ _ONE = Fraction(1)
 def _canonical_weights(weights: Mapping[int, object] | None, n_total: int) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
     for v, raw in (weights or {}).items():
+        if type(v) is not int:
+            raise ValueError(f"weight key {v!r} is not an int")
         if not 1 <= v <= n_total:
             raise ValueError(f"weight for unknown vertex {v}")
         w = Fraction(raw)
@@ -86,24 +91,22 @@ def _finish_adjacency(
 class _TwoSided:
     """Validation, weights and adjacency shared by both two-sided graph kinds.
 
-    A subclass is a frozen dataclass whose fields start with the two
-    side sizes and the edge set, named in `_fields`, and go on with `t`,
-    `weights`, `adj` and `touched`, the ids with at least one edge in
-    ascending order; `_labels` names the two sides in error messages.
+    A subclass is a frozen dataclass whose fields are the two side sizes,
+    named in `_fields`, the init-only edges, `t`, `weights`, `adj` and
+    `touched`, the ids with at least one edge in ascending order;
+    `_labels` names the two sides in error messages.
     """
 
-    _fields: tuple[str, str, str]
+    _fields: tuple[str, str]
     _labels: tuple[str, str]
 
-    def __post_init__(self) -> None:
-        size1, size2, edges_field = self._fields
-        n1, n2 = getattr(self, size1), getattr(self, size2)
+    def __post_init__(self, edges: Iterable[Edge]) -> None:
+        n1, n2 = (getattr(self, size) for size in self._fields)
         check_claw_parameter(self.t)
         if n1 < 0 or n2 < 0:
             raise ValueError("side sizes must be nonnegative")
         n = n1 + n2
-        edges = frozenset(getattr(self, edges_field))
-        rows: defaultdict[int, list[int]] = defaultdict(list)
+        rows: defaultdict[int, set[int]] = defaultdict(set)
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"an id of edge ({u!r}, {v!r}) is not an int")
@@ -111,26 +114,25 @@ class _TwoSided:
                 raise ValueError(f"{self._labels[0]} index {u} out of range 1..{n1}")
             if not n1 < v <= n:
                 raise ValueError(f"{self._labels[1]} index {v} out of range {n1 + 1}..{n}")
-            rows[u].append(v)
+            rows[u].add(v)
         adj, touched = _finish_adjacency(n, rows)
-        self.__dict__.update({edges_field: edges, "weights": _canonical_weights(self.weights, n),
-                              "adj": adj, "touched": touched})
+        self.__dict__.update(weights=_canonical_weights(self.weights, n), adj=adj, touched=touched)
 
     @classmethod
     def _from_checked(
-        cls, n1: int, n2: int, edges: frozenset[Edge], t: int, weights: dict[int, Fraction],
+        cls, n1: int, n2: int, t: int, weights: dict[int, Fraction],
         adj: list[tuple[int, ...]], touched: tuple[int, ...],
     ):
         """A graph from checked parts, stored as they are, without `__post_init__`.
 
-        `edges` are distinct in-range (first, second) pairs, `t >= 3`,
-        `weights` holds only non-unit nonnegative weights of existing
-        ids, and `_finish_adjacency` made `adj` and `touched` from them.
+        `t >= 3`, `weights` holds only non-unit nonnegative weights of
+        existing ids, and `_finish_adjacency` made `adj` and `touched`
+        from rows of distinct in-range ids.
         """
         self = object.__new__(cls)
-        size1, size2, edges_field = cls._fields
-        self.__dict__.update({size1: n1, size2: n2, edges_field: edges, "t": t,
-                              "weights": weights, "adj": adj, "touched": touched})
+        size1, size2 = cls._fields
+        self.__dict__.update({size1: n1, size2: n2, "t": t, "weights": weights,
+                              "adj": adj, "touched": touched})
         return self
 
     @property
@@ -166,19 +168,19 @@ class _TwoSided:
 class BipartiteGraph(_TwoSided):
     """Bipartite graph with A-side ids 1..n_a and B-side ids n_a+1..n_a+n_b.
 
-    `edges` holds (a, b) pairs of ints, `t` is the claw parameter (>= 3), and
+    `edges` takes (a, b) pairs of ints, `t` is the claw parameter (>= 3), and
     `weights` maps vertex ids to nonnegative rationals (missing = 1).
     """
 
     n_a: int
     n_b: int
-    edges: frozenset[Edge]
+    edges: InitVar[Iterable[Edge]]
     t: int
     weights: Mapping[int, object] | None = None
-    adj: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    adj: list[tuple[int, ...]] = field(init=False, repr=False)
     touched: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    _fields = ("n_a", "n_b", "edges")
+    _fields = ("n_a", "n_b")
     _labels = ("A-side", "B-side")
 
     @property
@@ -201,13 +203,13 @@ class SplitGraph(_TwoSided):
 
     n_clique: int
     n_indep: int
-    cross_edges: frozenset[Edge]
+    cross_edges: InitVar[Iterable[Edge]]
     t: int
     weights: Mapping[int, object] | None = None
-    adj: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    adj: list[tuple[int, ...]] = field(init=False, repr=False)
     touched: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    _fields = ("n_clique", "n_indep", "cross_edges")
+    _fields = ("n_clique", "n_indep")
     _labels = ("clique", "independent")
 
     @property
@@ -217,6 +219,12 @@ class SplitGraph(_TwoSided):
     @property
     def indep_side(self) -> range:
         return range(self.n_clique + 1, len(self.adj))
+
+
+# The edge pairs, read off the first-side rows. Attached after decoration, as a
+# dataclass takes a class attribute named like an init field as its default.
+BipartiteGraph.edges = SplitGraph.cross_edges = property(
+    lambda g: frozenset((u, v) for u in g.sides[0] for v in g.adj[u]))
 
 
 def _check_hyperedge(e: Iterable[int], n: int, t: int, seen: set) -> tuple[int, ...]:

@@ -53,7 +53,7 @@ class PolymatroidContext:
             if bad:
                 raise ValueError(f"vertices {sorted(bad)} not in the graph")
         object.__setattr__(self, "vertices", vs)
-        edges = frozenset((a, b) for a, b in g.edges if a in vs and b in vs)
+        edges = frozenset((a, b) for a in g.a_side if a in vs for b in g.adj[a] if b in vs)
         object.__setattr__(self, "edges", edges)
         degrees = {v: 0 for v in vs}
         for a, b in edges:

@@ -8,7 +8,7 @@ offset. `map_solution` has one rule for both shifted constructions
 (`hvc-osbcd`, `vc-dense`): shift the preserved group V, then add or
 require the pad group P, which `hvc-osbcd` does not have. The split
 completion and its shadow are the source read as the other two-sided
-kind, sharing its edges, weights and adjacency. The two cover
+kind, sharing its weights and adjacency. The two cover
 constructions emit unit weights and are built from checked parts: the
 source hypergraph was checked when it was built, so each hands one
 row of B-neighbours per gadget vertex to `graphs._finish_adjacency`,
@@ -90,9 +90,7 @@ def read_map(text: str) -> ReductionMap:
 def _gadget_graph(n_a: int, n_b: int, t: int, rows: dict[int, list[int]]) -> BipartiteGraph:
     """The unit-weight graph whose A-vertex a has the B-neighbours `rows[a]`; only t is checked."""
     check_claw_parameter(t)
-    edges = frozenset((a, b) for a, row in rows.items() for b in row)
-    return BipartiteGraph._from_checked(n_a, n_b, edges, t, {},
-                                        *_finish_adjacency(n_a + n_b, rows))
+    return BipartiteGraph._from_checked(n_a, n_b, t, {}, *_finish_adjacency(n_a + n_b, rows))
 
 
 def from_hypergraph_cover(hy: Hypergraph) -> tuple[BipartiteGraph, ReductionMap]:
@@ -121,7 +119,7 @@ def from_hypergraph_cover(hy: Hypergraph) -> tuple[BipartiteGraph, ReductionMap]
 
 def to_split(g: BipartiteGraph) -> tuple[SplitGraph, ReductionMap]:
     """Complete the A side into a clique; ids, weights and t carry over."""
-    split = SplitGraph._from_checked(g.n_a, g.n_b, g.edges, g.t, g.weights, g.adj, g.touched)
+    split = SplitGraph._from_checked(g.n_a, g.n_b, g.t, g.weights, g.adj, g.touched)
     rmap = ReductionMap(
         kind="osbcd-split",
         groups=(("clique", 1, g.n_a), ("independent", g.n_a + 1, g.n_vertices)),
@@ -131,8 +129,7 @@ def to_split(g: BipartiteGraph) -> tuple[SplitGraph, ReductionMap]:
 
 def cross_edge_shadow(h: SplitGraph) -> BipartiteGraph:
     """The split graph without its implicit clique edges; ids, weights and t carry over."""
-    return BipartiteGraph._from_checked(h.n_clique, h.n_indep, h.cross_edges, h.t, h.weights,
-                                        h.adj, h.touched)
+    return BipartiteGraph._from_checked(h.n_clique, h.n_indep, h.t, h.weights, h.adj, h.touched)
 
 
 def to_bipartite(h: SplitGraph) -> tuple[BipartiteGraph, ReductionMap]:

@@ -90,8 +90,8 @@ def count_validations(monkeypatch):
     """A Counter of `__post_init__` runs by graph class, from now until the test ends."""
     runs = Counter()
     for cls in (graphs._TwoSided, Hypergraph):
-        def counting(self, _original=cls.__post_init__):
+        def counting(self, *args, _original=cls.__post_init__):
             runs[type(self).__name__] += 1
-            _original(self)
+            _original(self, *args)
         monkeypatch.setattr(cls, "__post_init__", counting)
     return runs

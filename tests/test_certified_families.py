@@ -4,10 +4,12 @@ can be checked at sizes no oracle reaches.
 - Complete bipartite K_{nA,nB} with nB >= 2(t - 1) and unit weights: every
   A-vertex is a claw centre, so the optimum deletes all of A or all but
   t - 1 of B, min(nA, nB - t + 1). Where nA + nB <= 14 the oracle confirms it.
-- The complete t-uniform hypergraph on n >= 2t vertices, through the
-  `hvc-osbcd` construction: its minimum vertex cover, n - t + 1, is the
-  deletion optimum of the gadget graph, and every hyperedge has a
-  disjoint counterpart, so the construction records no warning.
+- Disjoint unions of complete t-uniform hypergraphs on n_i >= 2t vertices
+  each, one alone included, through the `hvc-osbcd` construction: a
+  component's minimum vertex cover is n_i - t + 1, so the union's is their
+  sum, and that is the deletion optimum of the gadget graph. Every
+  hyperedge has a disjoint counterpart in its own component, so the
+  construction records no warning.
 """
 
 from fractions import Fraction
@@ -53,13 +55,22 @@ def test_complete_bipartite_graphs(t):
     assert checked > 0
 
 
-@pytest.mark.parametrize("t, n", [(3, 6), (3, 7), (3, 8), (4, 8), (4, 9), (4, 10)])
-def test_complete_hypergraphs_through_the_cover_construction(t, n):
-    hy = Hypergraph(n, t, tuple(combinations(range(1, n + 1), t)))
+@pytest.mark.parametrize(
+    "t, sizes",
+    [(3, (6,)), (3, (7,)), (3, (8,)), (4, (8,)), (4, (9,)), (4, (10,)),
+     (3, (6, 6)), (3, (6, 7)), (3, (6, 7, 8)), (4, (8, 8)), (4, (8, 9))],
+    ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else None,
+)
+def test_complete_hypergraphs_through_the_cover_construction(t, sizes):
+    hyperedges, n = [], 0
+    for size in sizes:
+        hyperedges += combinations(range(n + 1, n + size + 1), t)
+        n += size
+    hy = Hypergraph(n, t, tuple(hyperedges))
     g, rmap = from_hypergraph_cover(hy)
     assert g.n_vertices == len(hy.hyperedges) * n + n
     assert rmap.warnings == ()
-    opt = n - t + 1
+    opt = sum(size - t + 1 for size in sizes)
     for alg in ("primal-dual", "local-ratio"):
         report = solve(g, alg)[0]
         assert report.cost == opt

@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +41,25 @@ def test_solve_text_output(tmp_path, capsys):
     assert "cost: 1" in out
     assert "lower_bound: 1" in out
     assert "theta: 1" in out
+
+
+def test_text_solution_line_takes_no_string_per_id(capsys):
+    payload = {"algorithm": "max-subgraph", "cost": "3", "lower_bound": None, "theta": None,
+               "iterations": 0, "time_ms": 0}
+    for ids in ([], [7], [1, 20, 300]):
+        cli._print_payload({**payload, "solution": ids}, False)
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line == "solution: " + " ".join(str(v) for v in ids)
+    with capsys.disabled(), open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        ids = list(range(1, 1_000_001))
+        tracemalloc.start()
+        try:
+            cli._print_payload({**payload, "solution": ids}, False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # one str per id came to about 70 MB; the line itself is under 7 MB
+    assert peak < 35_000_000
 
 
 def test_solve_json_keys(tmp_path, capsys):

@@ -250,6 +250,7 @@ def _assert_parsed_like_public(text, public):
     assert not runs
     assert parsed == public
     if not isinstance(public, Hypergraph):
+        assert not {"edges", "cross_edges"} & (parsed.__dict__.keys() | public.__dict__.keys())
         assert parsed.adj == public.adj
         assert parsed.touched == public.touched
         assert parsed.weights == public.weights

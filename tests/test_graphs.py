@@ -29,9 +29,13 @@ def test_bipartite_rejects_bad_parameters():
 @pytest.mark.parametrize("edge", [(1, 2.5), (1.0, 2), ("1", 2), (True, 2), (1, Fraction(2))])
 def test_public_construction_rejects_ids_that_are_not_ints(edge):
     # int() would have truncated 2.5 to 2 and taken "1" and True for 1
+    bad = next(v for v in edge if type(v) is not int)
     for cls in (BipartiteGraph, SplitGraph):
         with pytest.raises(ValueError, match="is not an int$"):
             cls(1, 1, frozenset({edge}), 3)
+        # a weight key follows the same rule: 1.0 or True would not serialize as an id
+        with pytest.raises(ValueError, match="is not an int$"):
+            cls(1, 1, frozenset({(1, 2)}), 3, {bad: 2})
     with pytest.raises(ValueError, match="is not an int$"):
         Hypergraph(3, 3, (edge + (3,),))
 
@@ -49,6 +53,38 @@ def test_unit_weights_are_canonicalized():
             total = h.total_weight(iter(vs))
             assert type(total) is Fraction
             assert total == sum((h.weights.get(v, Fraction(1)) for v in vs), start=Fraction(0))
+
+
+def test_edges_are_stored_once_as_rows():
+    g = BipartiteGraph(2, 3, frozenset({(1, 3), (1, 5), (2, 4)}), 3, {4: 2})
+    h = SplitGraph(2, 3, [(1, 3), (1, 3)], 3)
+    assert "edges" not in g.__dict__ and "cross_edges" not in h.__dict__
+    assert g.edges == {(1, 3), (1, 5), (2, 4)} and type(g.edges) is frozenset
+    assert g.adj == [(), (3, 5), (4,), (1,), (2,), (1,)]
+    # repeated pairs are merged, as a frozenset would merge them
+    assert h == SplitGraph(2, 3, {(1, 3)}, 3) and h.cross_edges == {(1, 3)}
+    assert "edges" not in repr(g) and "cross_edges" not in repr(h)
+
+    class OnePass:
+        passes = 0
+
+        def __iter__(self):
+            OnePass.passes += 1
+            return iter([(1, 3), (2, 4), (1, 3)])
+
+    assert SplitGraph(2, 3, OnePass(), 3).cross_edges == {(1, 3), (2, 4)}
+    assert OnePass.passes == 1
+    assert BipartiteGraph(2, 3, ((1, 3 + k) for k in range(3)), 3).edges == {(1, 3), (1, 4), (1, 5)}
+
+
+@pytest.mark.parametrize("cls", [BipartiteGraph, SplitGraph])
+def test_graphs_that_differ_in_one_edge_compare_unequal(cls):
+    edges = {(1, 3), (1, 4), (2, 5)}
+    g = cls(2, 3, edges, 3)
+    assert g == cls(2, 3, sorted(edges), 3)
+    assert g != cls(2, 3, edges - {(2, 5)} | {(2, 4)}, 3)
+    assert g != cls(2, 3, edges - {(2, 5)}, 3)
+    assert g != cls(2, 3, edges, 4) and g != cls(2, 3, edges, 3, {5: 2})
 
 
 def test_split_validation_and_sides():

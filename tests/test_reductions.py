@@ -108,7 +108,7 @@ def test_cover_constructions_build_from_checked_parts(monkeypatch):
     assert len(built) >= 40
     for g, twin in zip(built, twins):
         assert g == twin and g.adj == twin.adj and g.touched == twin.touched
-        assert g.weights == {}
+        assert g.weights == {} and "edges" not in g.__dict__
 
 
 def test_hypergraph_cover_refuses_a_claw_parameter_below_3():
@@ -146,6 +146,7 @@ def test_derived_graphs_share_the_parts_checked_at_construction(monkeypatch):
     for g, twin, split, shadow in zip(sources, twins, splits, shadows):
         assert split == twin and split.adj == twin.adj and split.touched == twin.touched
         assert shadow == g and shadow.adj == g.adj and shadow.touched == g.touched
+        assert "cross_edges" not in split.__dict__ and "edges" not in shadow.__dict__
         for source, derived in ((g, split), (twin, shadow)):
             assert derived.adj is source.adj
             assert derived.touched is source.touched
