@@ -96,7 +96,7 @@ def _frac(value: Fraction | None) -> str | None:
 
 def _report_payload(report: SolveReport) -> dict:
     return {
-        "solution": list(report.solution),
+        "solution": report.solution,
         "cost": _frac(report.cost),
         "lower_bound": _frac(report.dual_lower_bound),
         "theta": _frac(report.theta),
@@ -106,13 +106,31 @@ def _report_payload(report: SolveReport) -> dict:
     }
 
 
+_IDS_PER_WRITE = 1 << 16
+
+
+def _write_ids(ids, sep: str) -> None:
+    """Write `ids` to stdout joined by `sep`: one `%` format per 65,536 ids, no str per id."""
+    write = sys.stdout.write
+    for i in range(0, len(ids), _IDS_PER_WRITE):
+        chunk = tuple(ids[i:i + _IDS_PER_WRITE])
+        write((sep if i else "") + sep.join(["%d"] * len(chunk)) % chunk)
+
+
 def _print_payload(payload: dict, as_json: bool) -> None:
+    """Print a solve payload as JSON (the bytes of `json.dumps`) or as text."""
+    ids = payload["solution"]
     if as_json:
-        print(json.dumps(payload))
+        # Escaped quotes keep the empty-list marker out of every other string.
+        head, tail = json.dumps({**payload, "solution": []}).split('"solution": []', 1)
+        sys.stdout.write(head + '"solution": [')
+        _write_ids(ids, ", ")
+        sys.stdout.write("]" + tail + "\n")
         return
     print(f"algorithm: {payload['algorithm']}")
-    ids = payload["solution"]
-    print("solution:", " ".join(["%d"] * len(ids)) % tuple(ids))
+    sys.stdout.write("solution: ")
+    _write_ids(ids, " ")
+    sys.stdout.write("\n")
     for key in ("cost", "lower_bound", "theta"):
         value = payload[key]
         print(f"{key}: {'-' if value is None else value}")

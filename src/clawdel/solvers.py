@@ -12,13 +12,14 @@ steps. The solver is event driven: the coefficients
 dual_rank_incident(v, S) and dual_rank(E[S]) live in a `DegreeState`
 plus a few integers updated as vertices leave S. With `raised` the
 total raise so far, vertex v has paid coeff[v] * raised - offset[v], so
-a coefficient fall only moves the offset, an integer numerator and
-denominator pair, and a heap keyed by raise levels that may be stale
-(too low, never too high) is refreshed one vertex at a time as keys
-reach the top. Every amount, bound and level is an exact rational. A
-heap key leads with the correctly rounded float of its level, which
-orders most pairs of keys at float speed but decides nothing the exact
-levels would not: see `_key`.
+a coefficient fall only moves the offset. Its exact value is needed
+only for a vertex that reaches the top of the heap: a fall costs one
+float subtraction, rounded down, on a lower bound of the offset, and
+records the raise index; the exact offset is folded from those indices
+when the float bound cannot settle which vertex is tight next. This is
+a dynamic filter for an exact predicate (Brönnimann, Burnikel and Pion,
+2001). Every amount, bound and level is an exact rational: see `_key`
+and `_floor_level` for the two kinds of heap key.
 
 The deletion solvers share one finish step, `_finish`: reverse deletion
 on the solver's own claw-free `DegreeState`, then cost, θ and report.
@@ -30,9 +31,10 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, nextafter
 from typing import Iterable
 
 from . import reductions
@@ -130,8 +132,8 @@ def _finish(state: DegreeState, selected: list[int], lower: Fraction, algorithm:
                        algorithm=algorithm, iterations=iterations)
 
 
-def _key(level: Fraction, v: int) -> tuple[float, Fraction, int]:
-    """Heap key of vertex v tight at `level`: (float prefix, exact level, id).
+def _key(level: Fraction, v: int) -> tuple[float, int, Fraction, int]:
+    """Exact heap key of vertex v tight at `level`: (float prefix, 1, level, id).
 
     The prefix never reorders two keys. Integer true division rounds
     correctly at any operand size, and rounding to nearest is monotone:
@@ -142,12 +144,48 @@ def _key(level: Fraction, v: int) -> tuple[float, Fraction, int]:
     A level above the float range raises OverflowError and gets inf,
     which is at least every other prefix, so the map stays monotone; a
     level below it rounds to 0.0 or a subnormal, which is monotone too.
+    A float above the prefix is above the level itself, so a lower-bound
+    key `(lb, 0, id)` with lb > prefix belongs to a higher level; at
+    equal floats it sorts first, as its level may be the lower one.
     """
     try:
         prefix = level.numerator / level.denominator
     except OverflowError:
         prefix = inf
-    return prefix, level, v
+    return prefix, 1, level, v
+
+
+def _floor_level(w: Fraction, low: float, c: int) -> float:
+    """A float at most (w + offset) / c for every offset >= `low`; c > 0.
+
+    The heap key `(_floor_level(...), 0, id)` of a vertex of weight w
+    and coefficient c is thus at most its exact `_key`. Each of the
+    three roundings (w to a float, the sum, the quotient) is taken one
+    float further down. A weight above the float range gives -inf, and
+    so does a `low` of -inf: such a key always takes the exact path.
+    """
+    try:
+        wf = nextafter(w.numerator / w.denominator, -inf)
+    except OverflowError:
+        return -inf
+    return nextafter(nextafter(wf + low, -inf) / c, -inf)
+
+
+def _fold(num: int, den: int, marks: list[int],
+          twice: list[tuple[int, int]]) -> tuple[int, int]:
+    """num/den minus twice[k] for each raise index k in `marks`, in lowest terms.
+
+    Each step is `Fraction`'s own subtraction rule, done on the integer
+    pairs so that no `Fraction` is built.
+    """
+    for k in marks:
+        tn, td = twice[k]
+        g1 = gcd(den, td)
+        s = den // g1
+        num = num * (td // g1) - tn * s
+        g2 = gcd(num, g1)
+        num, den = num // g2, s * (td // g2)
+    return num, den
 
 
 def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
@@ -164,56 +202,85 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
     With `raised` the total raise so far, a vertex of weight w and
     coefficient c has paid c * raised - offset and is tight at level
     (w + offset) / c. A fall of 2 at level `raised` leaves the amount
-    paid as it is by taking 2 * raised off the offset, and marks the
-    vertex's heap key stale. The offset is an integer numerator and
-    denominator in lowest terms, held in a dict only for vertices that
-    have fallen, and the subtraction is done inline with the gcd rule
-    of `Fraction`'s own subtraction, so a fall builds no `Fraction`.
-    Coefficients only fall, so levels only rise and a stale key never
-    overstates its vertex's level. A stale key that reaches the top is
-    recomputed: pushed back down with `heapreplace` if the level rose,
-    dropped if the coefficient is 0, and otherwise current. A current
-    key at the top is at most every other vertex's (level, id), so ties
-    still go to the lowest id.
+    paid as it is by taking 2 * raised off the offset. The fall takes
+    a float upper bound of 2 * raised off `low[v]`, rounded down with
+    `nextafter`, so `low[v]` stays at most the offset; it appends the
+    raise index to `marks[v]` and marks the vertex's heap key stale. It
+    does no exact arithmetic. Coefficients only fall, so levels only
+    rise and a stale key never overstates its vertex's level.
 
-    Keys are `_key` triples: a float prefix of the level decides most
-    comparisons, and only equal prefixes compare the exact levels. The
-    prefix is monotone in the level, so a stale key is still at most
-    its vertex's current key. Every raise amount, bound and trace entry
-    is exact.
+    The heap holds one key per vertex: a lower bound `(lb, 0, id)` from
+    `_floor_level`, or an exact `_key` `(prefix, 1, level, id)`. Each is
+    at most the vertex's exact key, and the two kinds agree with the
+    exact order as `_key` explains. At the top:
+
+    - a stale key whose coefficient is 0 is dropped;
+    - a stale key whose new float bound rose above it is pushed back
+      down with `heapreplace` as a lower bound, with no exact work;
+    - any other lower bound, or a stale exact key, gets its exact level:
+      the offset is folded from the vertex's marks (`_fold`). The key
+      is pushed back down unless it is still at most both children;
+    - an exact key that is current is popped: it is at most every
+      other vertex's exact key, so its vertex has the least (level, id),
+      and ties still go to the lowest id.
+
+    A bound that overflows is -inf and takes the exact path. Every raise
+    amount, bound and trace entry is exact.
     """
     t, adj, weight = g.t, g.adj, g.weight
+    heappop, heapreplace = heapq.heappop, heapq.heapreplace
     state = DegreeState(g)
     alive, deg = state.alive, state.deg
     coeff = state.coefficients()
     rank = sum(coeff[a] for a in state.candidates)  # dual_rank(E[S])
+    low: dict[int, float] = {}  # float lower bound of each offset; absent is 0
+    marks = defaultdict(list)  # raise indices of the falls not yet in `offset`
     offset: dict[int, tuple[int, int]] = {}  # numerator, denominator; absent is 0
+    twice: list[tuple[int, int]] = []  # 2 * raised after each raise
     stale = bytearray(len(coeff))
-    heap = [_key(weight(v) / coeff[v], v) for v in g.touched if coeff[v]]
+    after, ninf, low_get = nextafter, -inf, low.get  # for the fall loop
+    heap = [(_floor_level(weight(v), 0.0, coeff[v]), 0, v) for v in g.touched if coeff[v]]
     heapq.heapify(heap)
     raised = dual_lb = Fraction(0)
     selected: list[int] = []
     trace: list[TraceStep] = []
 
     while state.centres:
-        _, level, tight = heap[0]
-        if stale[tight]:
-            stale[tight] = 0
+        key = heap[0]
+        tight = key[-1]
+        if stale[tight] or not key[1]:
             c = coeff[tight]
-            if not c:
-                heapq.heappop(heap)
-                continue
+            if stale[tight]:
+                stale[tight] = 0
+                if not c:
+                    heappop(heap)
+                    continue
+                lb = _floor_level(weight(tight), low[tight], c)
+                if lb > key[0]:
+                    heapreplace(heap, (lb, 0, tight))
+                    continue
             w = weight(tight)
             num, den = offset.get(tight, (0, 1))
-            true_level = Fraction(w.numerator * den + num * w.denominator,
-                                  w.denominator * den * c)
-            if true_level != level:
-                heapq.heapreplace(heap, _key(true_level, tight))
+            if tight in marks:
+                num, den = offset[tight] = _fold(num, den, marks.pop(tight), twice)
+            level = Fraction(w.numerator * den + num * w.denominator, w.denominator * den * c)
+            key = _key(level, tight)
+            n = len(heap)
+            if n > 1 and heap[1] < key or n > 2 and heap[2] < key:
+                heapreplace(heap, key)
                 continue
-        heapq.heappop(heap)
+        else:
+            level = key[2]
+        heappop(heap)
         eps = level - raised
         raised = level
+        k = len(twice)
         tn, td = (2 * raised).as_integer_ratio()
+        twice.append((tn, td))
+        try:
+            up = after(tn / td, inf)  # at least 2 * raised
+        except OverflowError:
+            up = inf
         dual_lb += eps * rank
         trace.append(TraceStep(amount=eps, selected=tight))
         selected.append(tight)
@@ -233,13 +300,8 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
         for v in fallen:
             coeff[v] -= 2
             stale[v] = 1
-            # offset[v] -= tn / td, kept in lowest terms as Fraction._sub does
-            num, den = offset.get(v, (0, 1))
-            g1 = gcd(den, td)
-            s = den // g1
-            num = num * (td // g1) - tn * s
-            g2 = gcd(num, g1)
-            offset[v] = num // g2, s * (td // g2)
+            low[v] = after(low_get(v, 0.0) - up, ninf)
+            marks[v].append(k)
 
     return _finish(state, selected, dual_lb, "primal-dual", len(trace)), trace
 

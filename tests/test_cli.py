@@ -62,6 +62,25 @@ def test_text_solution_line_takes_no_string_per_id(capsys):
     assert peak < 35_000_000
 
 
+def test_json_solution_is_the_bytes_of_json_dumps_without_a_whole_list_pass(capsys):
+    payload = {"cost": "3/2", "lower_bound": None, "theta": "1", "algorithm": "primal-dual",
+               "iterations": 2, "time_ms": 0}
+    for ids in ([], [7], [1, 20, 300]):
+        for ordered in ({"solution": ids, **payload}, {**payload, "solution": tuple(ids)}):
+            cli._print_payload(ordered, True)
+            assert capsys.readouterr().out == json.dumps(ordered) + "\n"
+    with capsys.disabled(), open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        ids = tuple(range(1, 1_000_001))
+        tracemalloc.start()
+        try:
+            cli._print_payload({"solution": ids, **payload}, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # json.dumps of the whole list peaked at about 16 MB; ids go out in 65,536-id writes
+    assert peak < 5_000_000
+
+
 def test_solve_json_keys(tmp_path, capsys):
     instance = write(tmp_path / "g1.bip", G1_TEXT)
     for alg in ("primal-dual", "local-ratio", "exact", "max-subgraph"):

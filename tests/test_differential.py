@@ -8,6 +8,7 @@ reverse deletion, minimality and theta.
 
 import heapq
 import random
+from itertools import accumulate
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,99 @@ def test_mid_size_primal_dual_matches_the_reference(monkeypatch):
         if len(trace) >= 30 and bits >= 64:
             big.append(g)
     assert len(big) >= 4 and max(refreshes) >= 100
+
+
+E17 = 10**17
+HUGE = 10**400
+NEAR_TIE_MODES = ("e17", "pq", "huge", "mixed")
+
+
+def near_tie_weights(mode, vertices, rng):
+    """Weights whose levels mostly round to one float, or lie above the float range.
+
+    "e17": E17 + k for small k; "pq": an integer plus k / (q * 2**62); "huge": HUGE + k,
+    so every float bound overflows; "mixed": 1:9 weights with a few HUGE and E17 ones.
+    """
+    if mode == "e17":
+        return {v: E17 + rng.randint(0, 3) for v in vertices}
+    if mode == "pq":
+        base = rng.randint(1, 9)
+        return {v: base + Fraction(rng.randint(0, 3), rng.choice((3, 7, 11)) * 2**62)
+                for v in vertices}
+    if mode == "huge":
+        return {v: HUGE + rng.randint(0, 3) for v in vertices}
+    return {v: rng.choice((HUGE, E17, rng.randint(1, 9), rng.randint(1, 9))) for v in vertices}
+
+
+def near_tie_instance(seed):
+    """A small random instance, or four in 40 a generated one, the last four of the dense shape."""
+    rng = random.Random(f"near-tie:{seed}")
+    mode = NEAR_TIE_MODES[seed % len(NEAR_TIE_MODES)]
+    if seed % 40 < 36:
+        t = rng.randint(3, 4)
+        na, nb = rng.randint(1, 8), rng.randint(3, 14)
+        density = rng.choice((0.5, 0.8, 1.0))
+        edges = frozenset((a, na + b) for a in range(1, na + 1) for b in range(1, nb + 1)
+                          if rng.random() < density)
+        return BipartiteGraph(na, nb, edges, t, near_tie_weights(mode, range(1, na + nb + 1), rng))
+    na = (10, 20, 30, 40, 10, 20, 30, 40, 10, 20, 70)[seed // 40]
+    family = "bip-dense" if seed % 80 < 40 else "bip-random"
+    sizes = {"na": na, "nb": 2 * na} | ({"m": 8 * na} if family == "bip-random" else {})
+    g = generate(GenSpec(family, 3, seed, sizes))
+    return BipartiteGraph(g.n_a, g.n_b, g.edges, g.t, near_tie_weights(mode, g.vertices, rng))
+
+
+NEAR_TIES = [near_tie_instance(seed) for seed in range(440)]
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_near_tie_and_huge_weights_match_the_reference(chunk):
+    """Levels that float bounds cannot order: the exact fallback decides, step for step."""
+    for g in NEAR_TIES[chunk::4]:
+        report, trace = primal_dual_solve(g)
+        expected, steps = ref.primal_dual_solve(g)
+        assert report == expected
+        assert [(s.amount, s.selected) for s in trace] == steps
+
+
+def test_the_near_tie_family_reaches_the_exact_fallback():
+    """Raise levels that differ but round to one float, levels beyond it, dense sizes."""
+    one_float = beyond = zero_raises = 0
+    for g in NEAR_TIES:
+        amounts = [step.amount for step in primal_dual_solve(g)[1]]
+        levels = list(accumulate(amounts))
+        zero_raises += 0 in amounts[1:]
+        beyond += bool(levels) and levels[-1] > 2**1024
+        one_float += any(lo != hi and hi < 2**1000 and float(lo) == float(hi)
+                         for lo, hi in zip(levels, levels[1:]))
+    assert len(NEAR_TIES) >= 400
+    assert one_float >= 50 and beyond >= 50 and zero_raises >= 50
+    assert max(g.n_a for g in NEAR_TIES) == 70
+
+
+def test_exact_offsets_are_folded_for_few_falls(monkeypatch):
+    """On the dense benchmark shape, at most 40% of coefficient falls are ever folded exactly."""
+    folded = []
+    fold = solvers._fold
+
+    def counting(num, den, marks, twice):
+        folded[-1] += len(marks)
+        return fold(num, den, marks, twice)
+
+    monkeypatch.setattr(solvers, "_fold", counting)
+    for seed in range(5):
+        g = generate(GenSpec("bip-dense", 3, seed, {"na": 70, "nb": 140}, ("uniform", 1, 9)))
+        folded.append(0)
+        _, trace = primal_dual_solve(g)
+        # each fall takes 2 off one alive vertex's coefficient
+        state = claws.DegreeState(g)
+        before, falls = state.coefficients(), 0
+        for step in trace:
+            state.remove(step.selected)
+            after = state.coefficients()
+            falls += sum(b - a for b, a, alive in zip(before, after, state.alive) if alive) // 2
+            before = after
+        assert falls >= 4000 and 0 < folded[-1] <= 0.4 * falls
 
 
 @pytest.mark.parametrize("chunk", range(8))

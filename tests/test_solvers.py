@@ -124,10 +124,48 @@ def test_primal_dual_keys_beyond_float_precision(weights, steps):
 def test_heap_key_prefix_is_monotone_at_the_float_limits():
     with pytest.raises(OverflowError):
         float(Fraction(HUGE, 4))
-    assert solvers._key(Fraction(HUGE, 4), 4) == (math.inf, Fraction(HUGE, 4), 4)
+    assert solvers._key(Fraction(HUGE, 4), 4) == (math.inf, 1, Fraction(HUGE, 4), 4)
     assert solvers._key(TINY, 4)[0] == 0.0 < solvers._key(Fraction(1, 2**1074), 4)[0]
     below, above = solvers._key(Fraction(E17, 4), 4), solvers._key(Fraction(E17 + 1, 4), 3)
     assert below[0] == above[0] and below < above
+
+
+def _floor_cases():
+    """(w, low, c): float-limit weights, near ties, and negative partial offsets."""
+    rng = random.Random(3)
+    weights = [Fraction(HUGE), Fraction(HUGE, 3), TINY, Fraction(E17), Fraction(E17 + 1),
+               Fraction(0), Fraction(9), Fraction(2**53 + 1), Fraction(1, 3), Fraction(E17, 7)]
+    weights += [Fraction(rng.randint(0, 10**30), rng.randint(1, 10**30)) for _ in range(40)]
+    for w in weights:
+        wf = w.numerator / w.denominator if w < HUGE // 4 else 0.0
+        # offsets from 0 down to about -w, where w + offset nearly cancels
+        lows = [0.0, -0.0, -wf, math.nextafter(-wf, -math.inf), math.nextafter(-wf, math.inf),
+                -wf / 3, -wf * (1 - 2**-40), -1e-300, -math.inf]
+        lows += [-wf * rng.random() for _ in range(8)]
+        for low in lows:
+            for c in (2, 4, 6, 98, 2 * 140):
+                yield w, low, c
+
+
+def test_float_lower_bound_is_at_most_the_exact_level():
+    """`_floor_level(w, low, c)` <= (w + low) / c, the least level any offset >= low gives."""
+    for w, low, c in _floor_cases():
+        lb = solvers._floor_level(w, low, c)
+        if low == -math.inf or w >= HUGE // 4:
+            assert lb == -math.inf
+            continue
+        level = (w + Fraction(low)) / c
+        assert lb <= level
+        # and a lower key never sorts after the exact key of the same level
+        assert (lb, 0, 4) < solvers._key(level, 4)
+    # one float step down per rounding: E17 / 4 is three floats above its bound
+    lb = solvers._floor_level(Fraction(E17), 0.0, 4)
+    for _ in range(3):
+        assert lb < Fraction(E17, 4)
+        lb = math.nextafter(lb, math.inf)
+    assert lb == Fraction(E17, 4)
+    assert solvers._floor_level(TINY, 0.0, 4) <= TINY / 4
+    assert solvers._floor_level(Fraction(HUGE), 0.0, 4) == -math.inf
 
 
 def test_primal_dual_dual_feasibility_and_tightness():
