@@ -39,7 +39,7 @@ from itertools import islice
 from typing import Iterator
 
 from .graphs import (BipartiteGraph, Hypergraph, SplitGraph, _check_hyperedge,
-                     _finish_adjacency, check_claw_parameter)
+                     _finish_adjacency, _one_id_runs, check_claw_parameter)
 
 _WEIGHT_RE = re.compile(r"^[0-9]+(/[1-9][0-9]*)?$")
 
@@ -124,7 +124,9 @@ def _parse_two_sided(
     cls, first_side, second_side = _TWO_SIDED[kind]
     n1, n2, m, t = _parse_header(header, header_line, kind, 4)
     n_total = n1 + n2
-    edges: set[tuple[int, int]] = set()
+    # Each edge read, as one int u * (n_total + 1) + v: a set of pairs would hold a
+    # tuple per edge, each one more object for the cyclic garbage collector.
+    edges: set[int] = set()
     weights: dict[int, Fraction] = {}
     rows: defaultdict[int, list[int]] = defaultdict(list)
     for line_no, tokens in enumerate(map(str.split, islice(lines, header_line, None)),
@@ -146,7 +148,7 @@ def _parse_two_sided(
                 raise ParseError(f"index {u} out of {first_side} range", line_no)
             if not n1 < v <= n_total:
                 raise ParseError(f"index {v} out of {second_side} range", line_no)
-            edge = (u, v)
+            edge = u * (n_total + 1) + v
             if edge in edges:
                 raise ParseError(f"duplicate edge ({u}, {v})", line_no)
             edges.add(edge)
@@ -177,7 +179,7 @@ def _parse_two_sided(
     except ValueError as exc:
         raise ParseError(str(exc), header_line) from exc
     weights = {v: w for v, w in weights.items() if w != 1}
-    return cls._from_checked(n1, n2, t, weights, *_finish_adjacency(n_total, rows))
+    return cls._from_checked(n1, n2, t, weights, *_finish_adjacency(n_total, _one_id_runs(rows)))
 
 
 def _parse_hypergraph(
@@ -235,13 +237,45 @@ def _serialize_two_sided(
 ) -> str:
     first, second = g.sides
     lines = _comment_block(comments)
-    m = sum(len(g.adj[u]) for u in first)
+    m = sum(map(len, g.adj[first.start:first.stop]))
     lines.append(f"p {kind} {len(first)} {len(second)} {m} {g.t}")
     lines.extend(f"n {v} {g.weights[v]}" for v in sorted(g.weights))
-    # One string per first-side row, not one per edge: on rows of three edges
-    # this about halves the memory a large graph's text takes on its way out.
-    lines.extend("\n".join([f"e {u} {v}" for v in g.adj[u]]) for u in first if g.adj[u])
+    lines.extend(_edge_lines(g.adj, first))
     return "\n".join(lines) + "\n"
+
+
+# The most first-side ids whose lines one string of `_edge_lines` holds.
+_RUN_CHUNK = 1024
+
+
+def _edge_lines(adj: list[tuple[int, ...]], first: range) -> Iterator[str]:
+    """The 'e' lines of the first-side rows, one string per row or per chunk of a run.
+
+    A run is a stretch of consecutive ids with equal rows, such as a
+    hypergraph-cover gadget. Each chunk of a run comes from one `%`
+    format: the row's template, repeated, over the ids, each repeated
+    once per neighbour. Any other row is one string too, not one per
+    edge: on rows of three edges this about halves the memory a large
+    graph's text takes on its way out.
+    """
+    # The ids whose row differs from the one before; slot 0 is ().
+    starts = [u for u in first if adj[u] != adj[u - 1]]
+    starts.append(first.stop)
+    for lo, hi in zip(starts, islice(starts, 1, None)):
+        row = adj[lo]
+        if not row:
+            continue
+        if hi - lo == 1:
+            prefix = f"e {lo} "
+            yield prefix + ("\n" + prefix).join(map(str, row))
+            continue
+        template, d = "\n".join([f"e %d {v}" for v in row]), len(row)
+        for c in range(lo, hi, _RUN_CHUNK):
+            ids = range(c, min(c + _RUN_CHUNK, hi))
+            values = [0] * (len(ids) * d)
+            for k in range(d):
+                values[k::d] = ids
+            yield "\n".join([template] * len(ids)) % tuple(values)
 
 
 def serialize_bipartite(g: BipartiteGraph, comments: tuple[str, ...] | list[str] = ()) -> str:

@@ -15,9 +15,11 @@ from the rows on each access. `touched` lists the ids that have an
 edge, so a pass that only cares about those skips the isolated ones.
 
 Adjacency has one rule, `_finish_adjacency`: every builder hands over
-each first-side id's row of second-side neighbours, and the
-second-side lists are derived from the rows in id order, so they come
-out sorted. Every traversal in the package is therefore deterministic.
+ascending runs of consecutive first-side ids, each with one row of
+second-side neighbours that all its ids share (a builder with a row
+per id hands one-id runs), and the second-side lists are derived from
+the runs in id order, so they come out sorted. Every traversal in the
+package is therefore deterministic.
 
 A graph is checked once, where it enters the program. Public
 construction validates; an id that is not an `int`, such as 2.5 or
@@ -66,26 +68,45 @@ def check_claw_parameter(t: int) -> None:
 
 
 def _finish_adjacency(
-    n_total: int, rows: Mapping[int, Iterable[int]]
+    n_total: int, runs: Iterable[tuple[int, int, Iterable[int]]]
 ) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """Adjacency by id from first-side rows, and the ids with an edge, ascending.
+    """Adjacency by id from runs of first-side rows, and the ids with an edge, ascending.
 
-    `rows` maps each first-side id with at least one edge to its
-    second-side neighbours in any order, and one row may serve several
-    ids. This is the one place a second-side list is made: walking the
-    sorted rows in id order appends each first-side id to its
-    neighbours' lists, so they come out sorted without a sort.
+    `runs` holds `(lo, hi, row)` triples: the consecutive first-side ids
+    lo..hi-1 all have the second-side neighbours `row`, in any order,
+    and at least one of them. The runs are ascending and disjoint; a
+    builder that has one row per id passes one-id runs (hi = lo + 1).
+    This is the one place a second-side list is made. Each run's row is
+    sorted once into one tuple that all its ids share, and walking the
+    runs in order puts each first-side id in its neighbours' lists, so
+    they come out sorted without a sort. A longer run extends each
+    neighbour's list from one list of its ids, so every list holds the
+    same int objects.
     """
     adj: list[tuple[int, ...]] = [()] * (n_total + 1)
     columns: defaultdict[int, list[int]] = defaultdict(list)
-    first = sorted(rows)
-    for u in first:
-        adj[u] = row = tuple(sorted(rows[u]))
-        for v in row:
-            columns[v].append(u)
+    first: list[int] = []
+    for lo, hi, row in runs:
+        row = tuple(sorted(row))
+        if hi - lo == 1:
+            adj[lo] = row
+            first.append(lo)
+            for v in row:
+                columns[v].append(lo)
+        else:
+            adj[lo:hi] = [row] * (hi - lo)
+            us = list(range(lo, hi))
+            first += us
+            for v in row:
+                columns[v] += us
     for v, us in columns.items():
         adj[v] = tuple(us)
     return adj, (*first, *sorted(columns))
+
+
+def _one_id_runs(rows: Mapping[int, Iterable[int]]) -> Iterator[tuple[int, int, Iterable[int]]]:
+    """The rows of a map from first-side id to row, as ascending one-id runs."""
+    return ((u, u + 1, rows[u]) for u in sorted(rows))
 
 
 class _TwoSided:
@@ -115,7 +136,7 @@ class _TwoSided:
             if not n1 < v <= n:
                 raise ValueError(f"{self._labels[1]} index {v} out of range {n1 + 1}..{n}")
             rows[u].add(v)
-        adj, touched = _finish_adjacency(n, rows)
+        adj, touched = _finish_adjacency(n, _one_id_runs(rows))
         self.__dict__.update(weights=_canonical_weights(self.weights, n), adj=adj, touched=touched)
 
     @classmethod

@@ -10,10 +10,12 @@ require the pad group P, which `hvc-osbcd` does not have. The split
 completion and its shadow are the source read as the other two-sided
 kind, sharing its weights and adjacency. The two cover
 constructions emit unit weights and are built from checked parts: the
-source hypergraph was checked when it was built, so each hands one
-row of B-neighbours per gadget vertex to `graphs._finish_adjacency`,
-with no edge re-checked or re-sorted; only t is checked. A map
-survives its sidecar text unchanged: `read_map(write_map(r)) == r`.
+source hypergraph was checked when it was built, so each hands its
+rows of B-neighbours to `graphs._finish_adjacency` with no edge
+re-checked; only t is checked. `hvc-osbcd` hands one run of ids per
+gadget, whose A-vertices then share one row; `vc-dense` hands one row
+per A-vertex. A map survives its sidecar text unchanged:
+`read_map(write_map(r)) == r`.
 """
 
 from __future__ import annotations
@@ -87,10 +89,11 @@ def read_map(text: str) -> ReductionMap:
     return ReductionMap(kind, tuple(groups), offset, tuple(warnings))
 
 
-def _gadget_graph(n_a: int, n_b: int, t: int, rows: dict[int, list[int]]) -> BipartiteGraph:
-    """The unit-weight graph whose A-vertex a has the B-neighbours `rows[a]`; only t is checked."""
+def _gadget_graph(n_a: int, n_b: int, t: int,
+                  runs: Iterable[tuple[int, int, list[int]]]) -> BipartiteGraph:
+    """The unit-weight graph whose A-ids in each run have its B-neighbours; only t is checked."""
     check_claw_parameter(t)
-    return BipartiteGraph._from_checked(n_a, n_b, t, {}, *_finish_adjacency(n_a + n_b, rows))
+    return BipartiteGraph._from_checked(n_a, n_b, t, {}, *_finish_adjacency(n_a + n_b, runs))
 
 
 def from_hypergraph_cover(hy: Hypergraph) -> tuple[BipartiteGraph, ReductionMap]:
@@ -104,14 +107,12 @@ def from_hypergraph_cover(hy: Hypergraph) -> tuple[BipartiteGraph, ReductionMap]
     correspondence argument leans on that property.
     """
     n, n_a = hy.n, hy.m * hy.n
-    rows: dict[int, list[int]] = {}
-    groups: list[tuple[str, int, int]] = []
-    for j, e in enumerate(hy.hyperedges, start=1):
-        lo = (j - 1) * n + 1
-        groups.append((f"e{j}", lo, lo + n - 1))
-        rows.update(dict.fromkeys(range(lo, lo + n), [n_a + v for v in e]))
+    # One run of ids per gadget: its n A-vertices share one row.
+    runs = [(j * n + 1, (j + 1) * n + 1, [n_a + v for v in e])
+            for j, e in enumerate(hy.hyperedges)]
+    groups = [(f"e{j}", lo, hi - 1) for j, (lo, hi, _) in enumerate(runs, start=1)]
     groups.append(("V", n_a + 1, n_a + n))
-    graph = _gadget_graph(n_a, n, hy.t, rows)
+    graph = _gadget_graph(n_a, n, hy.t, runs)
     warnings = tuple(f"hyperedge {j + 1} has no disjoint counterpart"
                      for j in _without_disjoint_partner(hy.hyperedges))
     return graph, ReductionMap("hvc-osbcd", tuple(groups), warnings=warnings)
@@ -184,8 +185,7 @@ def from_regular_graph_cover(g: Hypergraph) -> tuple[BipartiteGraph, ReductionMa
     pads = list(range(pad_lo, pad_lo + pad))
     edge_rows = [[n_a + c * n + w for c in range(x + 1) for w in e] + pads
                  for e in g.hyperedges]
-    rows = {block * m + k: row for block in range(2 * n)
-            for k, row in enumerate(edge_rows, start=1)}
+    runs = ((a, a + 1, row) for a, row in enumerate(edge_rows * (2 * n), start=1))
     groups = [("E", 1, m), *((f"E{j}", j * m + 1, (j + 1) * m) for j in range(1, 2 * n)),
               ("V", n_a + 1, n_a + n),
               *((f"V{c}", n_a + c * n + 1, n_a + (c + 1) * n) for c in range(1, x + 1)),
@@ -201,7 +201,7 @@ def from_regular_graph_cover(g: Hypergraph) -> tuple[BipartiteGraph, ReductionMa
     else:
         warnings.append("vertex-cover-versus-pad-size check skipped: input too large")
     rmap = ReductionMap("vc-dense", tuple(groups), pad, tuple(warnings))
-    return _gadget_graph(n_a, n_b, t, rows), rmap
+    return _gadget_graph(n_a, n_b, t, runs), rmap
 
 
 def _require(condition: bool, message: str) -> None:

@@ -5,6 +5,8 @@ from fractions import Fraction
 from clawdel import (
     BipartiteGraph,
     GenSpec,
+    from_hypergraph_cover,
+    from_regular_graph_cover,
     Hypergraph,
     ParseError,
     SplitGraph,
@@ -18,7 +20,7 @@ from clawdel import (
     serialize_split,
     sniff_format,
 )
-from clawdel.formats import MAX_VERTICES
+from clawdel.formats import _RUN_CHUNK, MAX_VERTICES
 from clawdel.generate import FAMILIES
 from conftest import count_validations, random_bipartite
 
@@ -292,3 +294,51 @@ def test_serializing_a_large_graph_holds_one_string_per_row():
     assert text.count("\ne ") == 180_000 and text.endswith("e 60000 60003\n")
     # one string per edge peaked at ~7.6x the text's length, one per row at ~4.4x
     assert peak < 6 * len(text)
+
+
+def _per_edge_text(g, comments=()):
+    """The canonical text of a two-sided graph, one line per edge of its sorted edge set."""
+    kind, edges = (("bip", g.edges) if isinstance(g, BipartiteGraph) else ("split", g.cross_edges))
+    first, second = g.sides
+    lines = [f"# {c}" for c in comments]
+    lines.append(f"p {kind} {len(first)} {len(second)} {len(edges)} {g.t}")
+    lines += [f"n {v} {g.weights[v]}" for v in sorted(g.weights)]
+    lines += [f"e {u} {v}" for u, v in sorted(edges)]
+    return "\n".join(lines) + "\n"
+
+
+def _two_sided_instances():
+    """Graphs with runs of equal rows, equal rows apart, and empty rows between them."""
+    for family, sizes in FAMILY_SIZES.items():
+        for seed in range(3):
+            g = generate(GenSpec(family, 3, seed, sizes, ("uniform", 1, 9)))
+            if family == "hyp-uniform":
+                g = from_hypergraph_cover(g)[0]
+            elif family == "regular-graph":
+                g = from_regular_graph_cover(g)[0]  # equal rows m ids apart
+            yield g
+    yield from_hypergraph_cover(Hypergraph(40, 4, ((1, 2, 3, 4), (5, 6, 7, 8))))[0]
+    yield from_hypergraph_cover(Hypergraph(3, 3, ((1, 2, 3),)))[0]
+    yield from_hypergraph_cover(Hypergraph(3, 3, ()))[0]
+    row, other = (10, 11, 12), (9,)
+    rows = {1: row, 2: row, 4: row, 5: row, 6: other, 7: row, 8: other}  # 3 is empty
+    for cls in (BipartiteGraph, SplitGraph):
+        yield cls(8, 4, [(u, v) for u, r in rows.items() for v in r], 3, {2: 5, 11: 0})
+        yield cls(8, 4, [(u, v) for u, r in rows.items() if u != 1 for v in r], 3)
+    # runs that cross chunk boundaries, next to one-id runs and empty rows
+    n_a = 3 * _RUN_CHUNK + 7
+    rows = {a: (n_a + 1 + a % 2, n_a + 3) if a % 997 else (n_a + 2,) for a in range(1, n_a + 1)}
+    rows.update(dict.fromkeys(range(5, 2 * _RUN_CHUNK + 9), (n_a + 1, n_a + 4)))
+    for a in (3, _RUN_CHUNK, 2 * _RUN_CHUNK + 20):
+        del rows[a]
+    yield BipartiteGraph(n_a, 4, [(u, v) for u, r in rows.items() for v in r], 4)
+
+
+def test_serialization_equals_the_per_edge_text():
+    graphs = list(_two_sided_instances())
+    assert len(graphs) >= 20
+    for g in graphs:
+        comments = ("a comment",) if g.n_vertices % 2 else ()
+        text = SERIALIZERS[type(g)](g, comments)
+        assert text == _per_edge_text(g, comments)
+        assert parse_auto(text) == g

@@ -8,6 +8,7 @@ from clawdel import (
     Hypergraph,
     SplitGraph,
     degree,
+    graphs,
     incident_edges,
     incident_edges_within,
     vertex_degrees,
@@ -139,3 +140,37 @@ def test_degree_matches_incidence_and_handshake():
         a_total = sum(degree(g, a) for a in g.a_side)
         b_total = sum(degree(g, b) for b in g.b_side)
         assert a_total == b_total == len(g.edges)
+
+
+def _adjacency_by_rows(n_total, rows):
+    """Adjacency and touched ids from a map of first-side rows, one id at a time."""
+    adj = [()] * (n_total + 1)
+    columns = {}
+    for u in sorted(rows):
+        adj[u] = tuple(sorted(rows[u]))
+        for v in adj[u]:
+            columns.setdefault(v, []).append(u)
+    for v, us in columns.items():
+        adj[v] = tuple(us)
+    return adj, (*sorted(rows), *sorted(columns))
+
+
+def test_one_id_runs_build_the_adjacency_of_the_rows():
+    rng = random.Random(11)
+    for _ in range(60):
+        n1, n2 = rng.randint(1, 30), rng.randint(1, 30)
+        rows = {u: rng.sample(range(n1 + 1, n1 + n2 + 1), rng.randint(1, n2))
+                for u in rng.sample(range(1, n1 + 1), rng.randint(0, n1))}
+        want = _adjacency_by_rows(n1 + n2, rows)
+        assert graphs._finish_adjacency(n1 + n2, graphs._one_id_runs(rows)) == want
+        # longer runs of one row give the same adjacency, each run sharing its row
+        runs, lo = [], 1
+        while lo <= n1:
+            hi = min(lo + rng.randint(1, 6), n1 + 1)
+            if rng.random() < 0.7:
+                runs.append((lo, hi, rng.sample(range(n1 + 1, n1 + n2 + 1), rng.randint(1, n2))))
+            lo = hi
+        adj, touched = graphs._finish_adjacency(n1 + n2, runs)
+        assert (adj, touched) == _adjacency_by_rows(
+            n1 + n2, {a: row for lo, hi, row in runs for a in range(lo, hi)})
+        assert all(adj[a] is adj[lo] for lo, hi, _ in runs for a in range(lo, hi))

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -97,7 +98,8 @@ def test_cover_constructions_build_from_checked_parts(monkeypatch):
             for seed in range(12) for t in (3, 4)]
     hyps += [Hypergraph(n, t, tuple(combinations(range(1, n + 1), t)))
              for t, n in ((3, 6), (3, 7), (4, 8))]
-    hyps += [Hypergraph(3, 3, ((1, 2, 3),)), Hypergraph(5, 3, ())]
+    hyps += [Hypergraph(3, 3, ((1, 2, 3),)), Hypergraph(4, 4, ((4, 2, 1, 3),)),
+             Hypergraph(5, 3, ()), Hypergraph(0, 3, ())]
     regular = [generate(GenSpec("regular-graph", d, seed, {"n": 2 * d + 2 * (seed % 2)}))
                for seed in range(6) for d in (3, 4)] + [k4()]
     runs = count_validations(monkeypatch)
@@ -109,6 +111,31 @@ def test_cover_constructions_build_from_checked_parts(monkeypatch):
     for g, twin in zip(built, twins):
         assert g == twin and g.adj == twin.adj and g.touched == twin.touched
         assert g.weights == {} and "edges" not in g.__dict__
+    for hy, g in zip(hyps, built):
+        # every A-vertex of gadget j holds the one row object of hyperedge j
+        assert len({id(g.adj[a]) for a in g.a_side}) == hy.m
+
+
+def _construction_peak(construct, source):
+    tracemalloc.start()
+    try:
+        g, _ = construct(source)
+        return g, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cover_constructions_build_within_a_memory_bound():
+    # the io-verify benchmark's hypergraph: 64,800 A-vertices of degree 3
+    hy = generate(GenSpec("hyp-uniform", 3, 97, {"n": 180, "m": 360}))
+    g, peak = _construction_peak(from_hypergraph_cover, hy)
+    assert g.n_a == 64_800 and len(g.touched) == 64_980
+    # one row per A-vertex peaked at ~14.2 MB, one shared row per hyperedge at ~7.6 MB
+    assert peak < 10_000_000
+    # 120,000 one-id runs: ~24 MB when made one at a time, ~41 MB as a list
+    g, peak = _construction_peak(from_regular_graph_cover,
+                                 generate(GenSpec("regular-graph", 3, 1, {"n": 200})))
+    assert g.n_a == 120_000 and peak < 30_000_000
 
 
 def test_hypergraph_cover_refuses_a_claw_parameter_below_3():

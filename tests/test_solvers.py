@@ -168,6 +168,57 @@ def test_float_lower_bound_is_at_most_the_exact_level():
     assert solvers._floor_level(Fraction(HUGE), 0.0, 4) == -math.inf
 
 
+# Float upper bounds of 2 * raised at six raises: subtracting them one by one
+# from 0.0 in floats rounds toward zero, by close to half a step, every time.
+FALL_UPS = ("0x1.20b269f767c46p+0", "0x1.41be17b92379fp+0", "0x1.7d2151a321f05p+0",
+            "0x1.91fce0cd23c02p+0", "0x1.b30ff40535d6ap+0", "0x1.d4cc1dcbd0ec4p+0")
+
+
+def _rounds_to(x: float, side: int) -> Fraction:
+    """A value just under half a float step from `x`, above it (side 1) or below it (-1)."""
+    half = Fraction(math.ulp(x)) / 2
+    return Fraction(x) + side * (half - half / 2**19)
+
+
+def test_a_fall_rounds_its_float_offset_down():
+    """Two levels one float step apart, after six falls that each round toward zero.
+
+    B-vertex 9 has the seven centres 1..7, each of degree t = 3. Centres
+    1..6 become tight in turn; each takes 2 from vertex 9's coefficient
+    and 2 * raised from its offset. Each 2 * raised lies just over half
+    a step below its float upper bound, so every fall's float difference,
+    unless it is rounded down, ends up above the exact offset, and
+    together they gain more than the roundings of `_floor_level` give
+    back. Vertex 9 ends at coefficient 2 and level L; centre 8, apart
+    from it, has level L + 2**-121, which is the same float. Vertex 9
+    must be selected first.
+    """
+    ups = [float.fromhex(h) for h in FALL_UPS]
+    twice = [_rounds_to(math.nextafter(x, -math.inf), 1) for x in ups]
+    top = math.nextafter(math.nextafter(float(sum(twice) + twice[-1]), math.inf), math.inf)
+    w9 = _rounds_to(top, -1)
+    level = (w9 - sum(twice)) / 2
+    weights = {a: w for a, w in enumerate(twice, start=1)}
+    weights.update({7: 2 * level + 2, 8: 2 * level + Fraction(2, 2**121), 9: w9})
+    weights.update(dict.fromkeys(range(10, 27), 100))
+    edges = [(a, v) for a in range(1, 8) for v in (9, 8 + 2 * a, 9 + 2 * a)]
+    edges += [(8, v) for v in (24, 25, 26)]
+    g = BipartiteGraph(8, 18, edges, 3, weights)
+
+    # the instance is what the docstring says: float differences that are not
+    # rounded down put vertex 9's bound above the float of centre 8's level
+    assert [math.nextafter(float(w), math.inf) for w in twice] == ups
+    low = 0.0
+    for x in ups:
+        low -= x
+    assert solvers._floor_level(w9, low, 2) > float(weights[8] / 2) == float(level)
+    report, trace = primal_dual_solve(g)
+    expected, steps = ref.primal_dual_solve(g)
+    assert [(s.amount, s.selected) for s in trace] == steps
+    assert [s.selected for s in trace] == [1, 2, 3, 4, 5, 6, 9, 8]
+    assert report == expected
+
+
 def test_primal_dual_dual_feasibility_and_tightness():
     for seed in range(80):
         g = random_bipartite(seed, na_max=5, nb_max=8, weighted=True)
