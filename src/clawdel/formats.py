@@ -11,6 +11,9 @@ every count or id is ASCII digits with an optional leading "-".
     e <u> <v>                    edge / cross edge, exactly m lines
     h <v1> ... <vt>              hyperedge, exactly m lines
 
+A weight is stored as an `int` when it is integral ("6/3" reads as 2)
+and as a `Fraction` otherwise, as `graphs` stores it.
+
 A header may declare at most MAX_VERTICES (5,000,000) vertices in all.
 A larger one is refused as a parse error on line 1, before anything of
 its size is allocated, so the command line exits 2 on it.
@@ -38,7 +41,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
-from .graphs import (BipartiteGraph, Hypergraph, SplitGraph, _check_hyperedge,
+from .graphs import (BipartiteGraph, Hypergraph, SplitGraph, Weight, _check_hyperedge,
                      _finish_adjacency, _one_id_runs, check_claw_parameter)
 
 _WEIGHT_RE = re.compile(r"^[0-9]+(/[1-9][0-9]*)?$")
@@ -87,6 +90,20 @@ def int_field(token: str, what: str, line_no: int | None) -> int:
     raise ParseError(f"{what} is not an integer: {token!r}", line_no)
 
 
+def _parse_weight(token: str, line_no: int) -> Weight:
+    """The weight 'k' or 'p/q' of `token`: an `int` when integral, as '6/3' is."""
+    if not _WEIGHT_RE.match(token):
+        raise ParseError(f"bad weight {token!r} (expected 'k' or 'p/q')", line_no)
+    num, _, den = token.partition("/")
+    try:
+        if not den:
+            return int(num)
+        w = Fraction(int(num), int(den))
+    except ValueError:  # past the interpreter's integer string conversion limit
+        raise ParseError("weight has too many digits", line_no) from None
+    return w.numerator if w.denominator == 1 else w
+
+
 def _parse_header(tokens: list[str], line_no: int, kind: str, n_fields: int) -> list[int]:
     """The counts of a 'p <kind>' header: the side sizes, then <m> and <t>."""
     if len(tokens) != 2 + n_fields or tokens[0] != "p" or tokens[1] != kind:
@@ -119,7 +136,8 @@ def _parse_two_sided(
     first endpoint as it is read, and `_finish_adjacency` builds the
     graph from these checked parts without validating them again.
     `plain` says the text is all ASCII, where `str.isdigit` alone is the
-    strict integer rule of `int_field` for nonnegative ids.
+    strict integer rule of `int_field` for nonnegative ids and integral
+    weights, so a plain edge or weight line costs one `int()` a token.
     """
     cls, first_side, second_side = _TWO_SIDED[kind]
     n1, n2, m, t = _parse_header(header, header_line, kind, 4)
@@ -127,7 +145,7 @@ def _parse_two_sided(
     # Each edge read, as one int u * (n_total + 1) + v: a set of pairs would hold a
     # tuple per edge, each one more object for the cyclic garbage collector.
     edges: set[int] = set()
-    weights: dict[int, Fraction] = {}
+    weights: dict[int, Weight] = {}
     rows: defaultdict[int, list[int]] = defaultdict(list)
     for line_no, tokens in enumerate(map(str.split, islice(lines, header_line, None)),
                                      header_line + 1):
@@ -156,18 +174,22 @@ def _parse_two_sided(
         elif tag == "n":
             if len(tokens) != 3:
                 raise ParseError("weight line needs 'n <id> <weight>'", line_no)
-            v = int_field(tokens[1], "vertex id", line_no)
+            _, sv, sw = tokens
+            w = None
+            if plain and sv.isdigit() and sw.isdigit():
+                try:
+                    v, w = int(sv), int(sw)
+                except ValueError:  # too many digits; the checks below name the token
+                    pass
+            if w is None:
+                v = int_field(sv, "vertex id", line_no)
             if not 1 <= v <= n_total:
                 raise ParseError(f"vertex id {v} out of range 1..{n_total}", line_no)
             if v in weights:
                 raise ParseError(f"duplicate weight for vertex {v}", line_no)
-            if not _WEIGHT_RE.match(tokens[2]):
-                raise ParseError(f"bad weight {tokens[2]!r} (expected 'k' or 'p/q')", line_no)
-            num, _, den = tokens[2].partition("/")
-            try:
-                weights[v] = Fraction(int(num), int(den)) if den else Fraction(int(num))
-            except ValueError:  # past the interpreter's integer string conversion limit
-                raise ParseError("weight has too many digits", line_no) from None
+            if w is None:
+                w = _parse_weight(sw, line_no)
+            weights[v] = w
         elif tag == "e":
             raise ParseError("edge line needs 'e <u> <v>'", line_no)
         elif tag[0] != "#":

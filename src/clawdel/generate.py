@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Mapping
 
@@ -71,11 +70,11 @@ def provenance(spec: GenSpec) -> str:
     )
 
 
-def _draw_weights(rng: random.Random, spec: GenSpec, n_total: int) -> dict[int, Fraction]:
+def _draw_weights(rng: random.Random, spec: GenSpec, n_total: int) -> dict[int, int]:
     if spec.weight_mode[0] == "unit":
         return {}
     _, lo, hi = spec.weight_mode
-    return {v: Fraction(rng.randint(lo, hi)) for v in range(1, n_total + 1)}
+    return {v: rng.randint(lo, hi) for v in range(1, n_total + 1)}
 
 
 def _two_sided_random(

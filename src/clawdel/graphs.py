@@ -3,7 +3,10 @@
 Vertex ids are 1-based. Bipartite graphs put the A side first (ids
 1..nA) and the B side directly after it (ids nA+1..nA+nB); split graphs
 do the same with the clique side first. Vertex weights are exact
-nonnegative rationals; weight 1 is the default and is never stored.
+nonnegative rationals; weight 1 is the default and is never stored. A
+weight is stored as an `int` when it is integral and as a `Fraction`
+only when it is not, so integral instances do their weight arithmetic
+in `int`, which is exact too and mixes exactly with `Fraction`.
 
 Both graph kinds are one two-sided structure (a split graph leaves its
 clique edges implicit) and share one validator and one set of helpers.
@@ -42,18 +45,19 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 Edge = tuple[int, int]
+Weight = int | Fraction  # an int when integral, a Fraction when not
 
-_ONE = Fraction(1)
 
-
-def _canonical_weights(weights: Mapping[int, object] | None, n_total: int) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
+def _canonical_weights(weights: Mapping[int, object] | None, n_total: int) -> dict[int, Weight]:
+    out: dict[int, Weight] = {}
     for v, raw in (weights or {}).items():
         if type(v) is not int:
             raise ValueError(f"weight key {v!r} is not an int")
         if not 1 <= v <= n_total:
             raise ValueError(f"weight for unknown vertex {v}")
-        w = Fraction(raw)
+        w = raw if type(raw) is int else Fraction(raw)
+        if w.denominator == 1:
+            w = w.numerator
         if w < 0:
             raise ValueError(f"negative weight for vertex {v}")
         if w != 1:
@@ -141,14 +145,14 @@ class _TwoSided:
 
     @classmethod
     def _from_checked(
-        cls, n1: int, n2: int, t: int, weights: dict[int, Fraction],
+        cls, n1: int, n2: int, t: int, weights: dict[int, Weight],
         adj: list[tuple[int, ...]], touched: tuple[int, ...],
     ):
         """A graph from checked parts, stored as they are, without `__post_init__`.
 
         `t >= 3`, `weights` holds only non-unit nonnegative weights of
-        existing ids, and `_finish_adjacency` made `adj` and `touched`
-        from rows of distinct in-range ids.
+        existing ids, each an `int` if integral, and `_finish_adjacency`
+        made `adj` and `touched` from rows of distinct in-range ids.
         """
         self = object.__new__(cls)
         size1, size2 = cls._fields
@@ -170,19 +174,19 @@ class _TwoSided:
         n1 = getattr(self, self._fields[0])
         return range(1, n1 + 1), range(n1 + 1, len(self.adj))
 
-    def weight(self, v: int) -> Fraction:
-        return self.weights.get(v, _ONE)
+    def weight(self, v: int) -> Weight:
+        return self.weights.get(v, 1)
 
     def total_weight(self, vs: Iterable[int]) -> Fraction:
-        """The weight of `vs`: the stored weights, plus one for each other id."""
-        weights, units, total = self.weights, 0, Fraction(0)
+        """The weight of `vs`, as a `Fraction`: the stored weights, plus one for each other id."""
+        weights, units, total = self.weights, 0, 0
         for v in vs:
             w = weights.get(v)
             if w is None:
                 units += 1
             else:
                 total += w
-        return total + units
+        return Fraction(total + units)
 
 
 @dataclass(frozen=True)

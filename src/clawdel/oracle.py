@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Callable, Iterable
 
 from .claws import find_claw, find_claw_split, is_feasible
-from .graphs import BipartiteGraph, Hypergraph, SplitGraph
+from .graphs import BipartiteGraph, Hypergraph, SplitGraph, Weight
 from .solvers import primal_dual_solve
 
 DEFAULT_SEARCH_DEPTH = 12
@@ -29,7 +29,7 @@ class OracleLimitError(RuntimeError):
 
 def _branch_and_bound(
     conflict: Callable[[set[int]], tuple[int, ...] | None],
-    weight_of: Callable[[int], Fraction],
+    weight_of: Callable[[int], Weight],
     incumbent: Iterable[int],
     incumbent_cost: Fraction,
     max_depth: int,

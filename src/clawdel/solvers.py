@@ -40,7 +40,7 @@ from typing import Iterable
 from . import reductions
 from .claws import DegreeState, centre_candidates, find_claw_split, prune
 from .claws import reverse_delete  # noqa: F401 (re-export)
-from .graphs import BipartiteGraph, SplitGraph
+from .graphs import BipartiteGraph, SplitGraph, Weight
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def _key(level: Fraction, v: int) -> tuple[float, int, Fraction, int]:
     return prefix, 1, level, v
 
 
-def _floor_level(w: Fraction, low: float, c: int) -> float:
+def _floor_level(w: Weight, low: float, c: int) -> float:
     """A float at most (w + offset) / c for every offset >= `low`; c > 0.
 
     The heap key `(_floor_level(...), 0, id)` of a vertex of weight w
@@ -203,11 +203,15 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
     coefficient c has paid c * raised - offset and is tight at level
     (w + offset) / c. A fall of 2 at level `raised` leaves the amount
     paid as it is by taking 2 * raised off the offset. The fall takes
-    a float upper bound of 2 * raised off `low[v]`, rounded down with
-    `nextafter`, so `low[v]` stays at most the offset; it appends the
-    raise index to `marks[v]` and marks the vertex's heap key stale. It
-    does no exact arithmetic. Coefficients only fall, so levels only
-    rise and a stale key never overstates its vertex's level.
+    the float nearest 2 * raised off `low[v]`, rounded down with
+    `nextafter`, so `low[v]` stays at most the offset: as `low[v]` <= 0,
+    the difference is at least that float, so the step `nextafter` takes
+    is at least the float's own step, and half of it covers the
+    rounding of the difference, the other half that of 2 * raised. The
+    fall appends the raise index to `marks[v]` and marks the vertex's
+    heap key stale. It does no exact arithmetic. Coefficients only
+    fall, so levels only rise and a stale key never overstates its
+    vertex's level.
 
     The heap holds one key per vertex: a lower bound `(lb, 0, id)` from
     `_floor_level`, or an exact `_key` `(prefix, 1, level, id)`. Each is
@@ -278,7 +282,7 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
         tn, td = (2 * raised).as_integer_ratio()
         twice.append((tn, td))
         try:
-            up = after(tn / td, inf)  # at least 2 * raised
+            up = tn / td  # the float nearest 2 * raised
         except OverflowError:
             up = inf
         dual_lb += eps * rank
@@ -317,15 +321,14 @@ def local_ratio_solve(g: BipartiteGraph) -> SolveReport:
     the lowest centre with its lowest t alive neighbours. Centres only
     disappear as vertices are removed, so the lowest one only moves up
     `state.candidates`. Only vertices with an edge join a witness, so
-    only they get a residual weight.
+    only they get a residual weight. Residuals and the bound stay `int`
+    while every weight is integral; the bound is reported as a `Fraction`.
     """
     residual = {v: g.weight(v) for v in g.touched}
     state = DegreeState(g)
     candidates = state.candidates
     selected: list[int] = []
-    rounds = 0
-    lower = Fraction(0)
-    i = 0
+    rounds = lower = i = 0
 
     while state.centres:
         while not state.is_centre(candidates[i]):
@@ -342,7 +345,7 @@ def local_ratio_solve(g: BipartiteGraph) -> SolveReport:
                 state.remove(v)
                 selected.append(v)
 
-    return _finish(state, selected, lower, "local-ratio", rounds)
+    return _finish(state, selected, Fraction(lower), "local-ratio", rounds)
 
 
 def exact_solve(g: BipartiteGraph) -> SolveReport:

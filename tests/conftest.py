@@ -31,6 +31,16 @@ def hy1():
     return Hypergraph(6, 3, ((1, 2, 3), (4, 5, 6)))
 
 
+# Generator sizes with isolated vertices on both sides of the two-sided families.
+FAMILY_SIZES = {
+    "bip-random": {"na": 12, "nb": 30, "m": 40},
+    "bip-dense": {"na": 6, "nb": 12},
+    "hyp-uniform": {"n": 12, "m": 10},
+    "regular-graph": {"n": 10},
+    "split-random": {"nc": 8, "ni": 20, "m": 30},
+}
+
+
 def random_bipartite(seed, na_max=4, nb_max=8, t_choices=(3, 4), weighted=False):
     rng = random.Random(seed)
     t = rng.choice(list(t_choices))

@@ -22,7 +22,7 @@ from clawdel import (
 )
 from clawdel.formats import _RUN_CHUNK, MAX_VERTICES
 from clawdel.generate import FAMILIES
-from conftest import count_validations, random_bipartite
+from conftest import FAMILY_SIZES, count_validations, random_bipartite
 
 G1_TEXT = "p bip 1 4 4 3\ne 1 2\ne 1 3\ne 1 4\ne 1 5"
 
@@ -44,6 +44,17 @@ def test_parse_empty_graph():
         ("p bip 1 1 1 3\ne 0 2", "line 2"),
         ("p bip 1 1 2 3\ne 1 2\ne 1 2", "line 3"),
         ("p bip 1 1 1 3\nn 1 -4\ne 1 2", "line 2"),
+        ("p bip 1 1 1 3\nn 1 +5\ne 1 2", "line 2: bad weight '+5' (expected 'k' or 'p/q')"),
+        ("p bip 1 1 1 3\nn 1 \u0663\ne 1 2", "line 2: bad weight '\u0663' (expected"),
+        ("p bip 1 1 1 3\nn 1 5/0\ne 1 2", "line 2: bad weight '5/0' (expected"),
+        ("p bip 1 1 1 3\nn 3 5\ne 1 2", "line 2: vertex id 3 out of range 1..2"),
+        ("p bip 1 1 1 3\nn 0 5\ne 1 2", "line 2: vertex id 0 out of range 1..2"),
+        ("p bip 1 1 1 3\nn 2 5\nn 2 5\ne 1 2", "line 3: duplicate weight for vertex 2"),
+        ("p bip 1 1 1 3\nn 2 5\nn 2 5/2\ne 1 2", "line 3: duplicate weight for vertex 2"),
+        # the id is checked before the weight's digits
+        ("p bip 1 1 1 3\nn 3 " + "9" * 5000 + "\ne 1 2", "line 2: vertex id 3 out of range"),
+        ("p bip 1 1 1 3\nn 1 9\nn 1 " + "9" * 5000 + "\ne 1 2",
+         "line 3: duplicate weight for vertex 1"),
         ("p bip 1 1 1 3\nn 1 1.5\ne 1 2", "line 2"),
         ("p bip 1 1 1 3\nn 1 2\nn 1 3\ne 1 2", "line 3"),
         ("p bip 1 1 1 3\nq 1 2", "line 2"),
@@ -73,6 +84,31 @@ def test_parse_weights_and_fractions():
     g = parse_bipartite("p bip 1 1 1 3\nn 1 3/2\nn 2 0\ne 1 2")
     assert g.weight(1) == Fraction(3, 2)
     assert g.weight(2) == 0
+
+
+@pytest.mark.parametrize(
+    "token, stored",
+    [("7", 7), ("0", 0), ("6/3", 2), ("0/4", 0), ("0009", 9),
+     pytest.param("4" * 400, int("4" * 400), id="400-digits"),
+     ("3/2", Fraction(3, 2)), ("10/4", Fraction(5, 2)),
+     pytest.param("1/" + "3" * 400, Fraction(1, int("3" * 400)), id="1/400-digits")],
+)
+def test_a_parsed_weight_is_an_int_exactly_when_integral(token, stored):
+    # plain ASCII text takes the one-int() path for 'k'; a non-ASCII comment does not
+    for text in (f"p bip 1 1 1 3\nn 1 {token}\ne 1 2",
+                 f"# \u00e9\np split 1 1 1 3\nn 1 {token}\ne 1 2"):
+        g = parse_auto(text)
+        assert g.weights == {1: stored}
+        assert type(g.weights[1]) is type(stored)
+        assert g == type(g)(1, 1, [(1, 2)], 3, {1: stored})
+
+
+@pytest.mark.parametrize("token", ["1", "01", "3/3", "1/1"])
+def test_a_parsed_unit_weight_is_not_stored(token):
+    for text in (f"p bip 1 1 1 3\nn 1 {token}\nn 2 2\ne 1 2",
+                 f"# \u00e9\np bip 1 1 1 3\nn 1 {token}\nn 2 2\ne 1 2"):
+        g = parse_auto(text)
+        assert g.weights == {2: 2} and type(g.weights[2]) is int
 
 
 def test_parse_split(h2):
@@ -221,6 +257,14 @@ LONG = "9" * 5000  # more digits than int() converts by default (4,300)
                      id="weight-denominator"),
         pytest.param(f"p bip 1 1 1 3\nn {LONG} 2\ne 1 2", "line 2: vertex id has too many digits",
                      id="weight-id"),
+        pytest.param(f"p bip 1 1 1 3\nn {LONG} {LONG}\ne 1 2",
+                     "line 2: vertex id has too many digits", id="weight-id-and-weight"),
+        pytest.param(f"p split 1 1 1 3\nn 2 {LONG}\ne 1 2", "line 2: weight has too many digits",
+                     id="split-weight"),
+        pytest.param(f"# \u00e9\np bip 1 1 1 3\nn 1 {LONG}\ne 1 2",
+                     "line 3: weight has too many digits", id="weight-not-ascii-text"),
+        pytest.param(f"p bip 1 1 1 3\nn 1 {LONG}/3\ne 1 2", "line 2: weight has too many digits",
+                     id="weight-numerator"),
         pytest.param(f"p hyp 3 1 3\nh 1 2 {LONG}", "line 2: hyperedge vertex has too many digits",
                      id="hyperedge"),
     ],
@@ -231,14 +275,6 @@ def test_an_integer_token_with_too_many_digits_is_a_parse_error(text, message):
     assert str(err.value) == message
 
 
-# Sizes with isolated vertices on both sides of the two-sided families.
-FAMILY_SIZES = {
-    "bip-random": {"na": 12, "nb": 30, "m": 40},
-    "bip-dense": {"na": 6, "nb": 12},
-    "hyp-uniform": {"n": 12, "m": 10},
-    "regular-graph": {"n": 10},
-    "split-random": {"nc": 8, "ni": 20, "m": 30},
-}
 SERIALIZERS = {BipartiteGraph: serialize_bipartite, SplitGraph: serialize_split,
                Hypergraph: serialize_hypergraph}
 

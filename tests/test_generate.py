@@ -12,6 +12,10 @@ from clawdel import (
     serialize_hypergraph,
     vertex_degrees,
 )
+from clawdel.cli import main
+from clawdel.formats import parse_auto
+from clawdel.generate import FAMILIES
+from conftest import FAMILY_SIZES
 
 
 def test_same_spec_same_bytes():
@@ -68,6 +72,26 @@ def test_uniform_weights_within_bounds():
     g = generate(GenSpec("bip-random", 3, 5, {"na": 3, "nb": 5, "m": 10}, ("uniform", 2, 4)))
     for v in g.vertices:
         assert 2 <= g.weight(v) <= 4
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_generated_weights_are_ints(family, tmp_path):
+    sizes = FAMILY_SIZES[family]
+    path = tmp_path / "out.txt"
+    argv = ["gen", "--family", family, "--t", "3", "--seed", "4", "--weights", "0:9",
+            "--output", str(path)]
+    for key in FAMILIES[family][0]:
+        argv += [f"--{key}", str(sizes[key])]
+    assert main(argv) == 0
+    parsed = parse_auto(path.read_text(encoding="utf-8"))
+    g = generate(GenSpec(family, 3, 4, sizes, ("uniform", 0, 9)))
+    assert parsed == g
+    if isinstance(g, Hypergraph):  # hypergraph families draw no weights
+        return
+    for h in (g, parsed):
+        assert {type(w) for w in h.weights.values()} == {int}
+        assert 0 in h.weights.values() and 1 not in h.weights.values()
+        assert len(h.weights) + sum(h.weight(v) == 1 for v in h.vertices) == h.n_vertices
 
 
 def test_generator_errors():

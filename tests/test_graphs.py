@@ -56,6 +56,29 @@ def test_unit_weights_are_canonicalized():
             assert total == sum((h.weights.get(v, Fraction(1)) for v in vs), start=Fraction(0))
 
 
+@pytest.mark.parametrize(
+    "raw, stored",
+    [(3, 3), (0, 0), (Fraction(4, 2), 2), (2.0, 2),
+     pytest.param(10**400, 10**400, id="401-digits"),
+     (Fraction(3, 2), Fraction(3, 2)), (0.25, Fraction(1, 4))],
+)
+def test_a_weight_is_stored_as_an_int_exactly_when_integral(raw, stored):
+    for cls in (BipartiteGraph, SplitGraph):
+        g = cls(1, 1, frozenset({(1, 2)}), 3, {1: raw})
+        assert g.weights == {1: stored}
+        assert type(g.weights[1]) is type(stored)
+        assert g.weight(1) is g.weights[1]
+        assert type(g.weight(2)) is int  # the unit default
+
+
+@pytest.mark.parametrize("unit", [1, True, Fraction(1), 1.0, Fraction(3, 3)])
+def test_a_unit_weight_of_any_type_is_not_stored(unit):
+    for cls in (BipartiteGraph, SplitGraph):
+        g = cls(1, 1, frozenset({(1, 2)}), 3, {1: unit, 2: 5})
+        assert g.weights == {2: 5}
+        assert type(g.weight(1)) is int and type(g.weights[2]) is int
+
+
 def test_edges_are_stored_once_as_rows():
     g = BipartiteGraph(2, 3, frozenset({(1, 3), (1, 5), (2, 4)}), 3, {4: 2})
     h = SplitGraph(2, 3, [(1, 3), (1, 3)], 3)

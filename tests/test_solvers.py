@@ -191,7 +191,9 @@ def test_a_fall_rounds_its_float_offset_down():
     together they gain more than the roundings of `_floor_level` give
     back. Vertex 9 ends at coefficient 2 and level L; centre 8, apart
     from it, has level L + 2**-121, which is the same float. Vertex 9
-    must be selected first.
+    must be selected first. The float nearest each 2 * raised lies below
+    it by nearly half a step, so the round-down of each fall covers that
+    rounding as well.
     """
     ups = [float.fromhex(h) for h in FALL_UPS]
     twice = [_rounds_to(math.nextafter(x, -math.inf), 1) for x in ups]
@@ -208,6 +210,7 @@ def test_a_fall_rounds_its_float_offset_down():
     # the instance is what the docstring says: float differences that are not
     # rounded down put vertex 9's bound above the float of centre 8's level
     assert [math.nextafter(float(w), math.inf) for w in twice] == ups
+    assert all(float(w) < w for w in twice)
     low = 0.0
     for x in ups:
         low -= x
@@ -217,6 +220,19 @@ def test_a_fall_rounds_its_float_offset_down():
     assert [(s.amount, s.selected) for s in trace] == steps
     assert [s.selected for s in trace] == [1, 2, 3, 4, 5, 6, 9, 8]
     assert report == expected
+
+
+@pytest.mark.parametrize("weights", [("unit",), ("uniform", 0, 9)])
+def test_reports_keep_fraction_fields_on_integral_weights(weights):
+    # weights are stored as ints; costs, bounds, theta and raise amounts stay Fractions
+    for seed in range(6):
+        g = generate(GenSpec("bip-random", 3, seed, {"na": 6, "nb": 10, "m": 30}, weights))
+        for alg in ("primal-dual", "local-ratio", "exact", "max-subgraph"):
+            report, trace = solve(g, alg)
+            assert type(report.cost) is Fraction
+            for value in (report.dual_lower_bound, report.theta):
+                assert value is None or type(value) is Fraction
+            assert all(type(step.amount) is Fraction for step in trace or ())
 
 
 def test_primal_dual_dual_feasibility_and_tightness():
