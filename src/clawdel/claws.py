@@ -121,8 +121,9 @@ class DegreeState:
         self.g = g
         alive = self.alive = [False] + [True] * g.n_vertices
         deg = self.deg = list(map(len, g.adj[: g.n_a + 1]))
+        end = len(alive)
         for v in removed:
-            if v in g.vertices and alive[v]:
+            if 0 < v < end and alive[v]:
                 alive[v] = False
                 if v > g.n_a:
                     for a in g.adj[v]:
@@ -176,7 +177,7 @@ class DegreeState:
     def restore(self, v: int) -> None:
         """Undo `remove(v)`; an id outside the graph is ignored."""
         g, alive, deg = self.g, self.alive, self.deg
-        if v not in g.vertices:
+        if not 0 < v < len(alive):
             return
         alive[v] = True
         if v <= g.n_a:
@@ -195,7 +196,7 @@ class DegreeState:
         nothing and can always come back.
         """
         g = self.g
-        if v not in g.vertices:
+        if not 0 < v < len(self.alive):
             return True
         if v <= g.n_a:
             return self.deg[v] < g.t

@@ -220,7 +220,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise _CliError(f"cannot read {args.solution}: {exc}", 2) from exc
     except ValueError:
         raise _CliError("solution file must hold whitespace-separated vertex ids", 2) from None
-    bad = [v for v in solution if v not in g.vertices]
+    vertices = g.vertices
+    bad = [v for v in solution if v not in vertices]
     if bad:
         raise _CliError(f"solution ids {bad} out of range", 2)
 

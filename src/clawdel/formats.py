@@ -25,6 +25,17 @@ each hyperedge by the rule `Hypergraph` uses. The graph is then built
 from those parts without being validated a second time. A token with
 more digits than int() converts (4,300 by default) is a bad token too.
 
+A 'p bip' or 'p split' body in the canonical form that serialization and
+`gen` write is read in bulk, a chunk of up to 4,096 lines at a time: one
+regex match checks the chunk's form, and one `str.split`, one `int()` a
+token and a few passes over the chunk's columns check its ranges and
+its order. The text must be all ASCII and end in a canonical 'n' or 'e'
+line. The first chunk that fails a check, and everything after it, goes
+to the line loop, which reads any text and words every error, so a text
+parses to the same graph, or fails with the same message, either way.
+The bulk reader holds one chunk's tokens at a time, never a list of the
+text's lines or a set of its edges.
+
 Serialization is canonical: comment lines first, then the header, then
 weight lines for non-unit weights in id order, then edges in sorted
 order. Hyperedges keep their list order with vertices ascending inside
@@ -38,7 +49,8 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, count, islice, repeat
+from operator import add, lt, mul, ne
 from typing import Iterator
 
 from .graphs import (BipartiteGraph, Hypergraph, SplitGraph, Weight, _check_hyperedge,
@@ -64,19 +76,37 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-def _split_lines(text: str | bytes) -> tuple[list[str], bool]:
-    """The lines of `text`, split at "\\n", and whether it is all ASCII."""
+def _decode(text: str | bytes) -> str:
     if isinstance(text, bytes):
         try:
-            text = text.decode("utf-8")
+            return text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not valid UTF-8: {exc}") from exc
-    return text.split("\n"), text.isascii()
+    return text
 
 
-def _rows(lines: list[str], after: int = 0) -> Iterator[tuple[int, list[str]]]:
-    """(line number, tokens) of each content line after line number `after`."""
-    for line_no, tokens in enumerate(map(str.split, islice(lines, after, None)), after + 1):
+def _header(text: str) -> tuple[int, list[str], int] | None:
+    """The line number and tokens of the first content line, and the offset after it.
+
+    Only the lines up to it are split, so a parser that reads the body
+    in bulk never holds the whole text as a list of lines.
+    """
+    pos = 0
+    for line_no in count(1):
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+        tokens = text[pos:end].split()
+        if tokens and tokens[0][0] != "#":
+            return line_no, tokens, end + 1
+        if end == len(text):
+            return None
+        pos = end + 1
+
+
+def _rows(lines: list[str], line_no: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each content line, the first line being `line_no` + 1."""
+    for line_no, tokens in enumerate(map(str.split, lines), line_no + 1):
         if tokens and tokens[0][0] != "#":
             yield line_no, tokens
 
@@ -125,30 +155,98 @@ _TWO_SIDED = {
 }
 
 
-def _parse_two_sided(
-    lines: list[str], plain: bool, header_line: int, header: list[str], kind: str
-) -> BipartiteGraph | SplitGraph:
-    """One strict pass over the lines after the header, which is on `header_line`.
+# The most lines one bulk match takes. A chunk's tokens and integers are all
+# that the bulk reader holds at once beside the graph it is building, about
+# 1 MB at this size; larger chunks read no faster.
+_CHUNK = 4096
+_WEIGHT_RUN = re.compile(r"(?:n [0-9]+ [0-9]+\n){1,%d}" % _CHUNK)
+_EDGE_RUN = re.compile(r"(?:e [0-9]+ [0-9]+\n){1,%d}" % _CHUNK)
+_CANONICAL_LINE = re.compile(r"[ne] [0-9]+ [0-9]+\n")
 
-    Each line is checked once, in file order, so the first bad line is
-    the one reported; a count mismatch comes after every line, and a
-    claw parameter below 3 last. Each edge goes into the row of its
-    first endpoint as it is read, and `_finish_adjacency` builds the
-    graph from these checked parts without validating them again.
-    `plain` says the text is all ASCII, where `str.isdigit` alone is the
-    strict integer rule of `int_field` for nonnegative ids and integral
-    weights, so a plain edge or weight line costs one `int()` a token.
+
+def _columns(run: re.Match) -> list[list[int]] | None:
+    """The two integer columns of a matched run of '<tag> <a> <b>' lines.
+
+    None when a token has more digits than int() converts.
     """
-    cls, first_side, second_side = _TWO_SIDED[kind]
-    n1, n2, m, t = _parse_header(header, header_line, kind, 4)
-    n_total = n1 + n2
+    tokens = run.group().split()
+    try:
+        return [list(map(int, islice(tokens, k, None, 3))) for k in (1, 2)]
+    except ValueError:
+        return None
+
+
+def _ascending(xs: list[int]) -> bool:
+    return all(map(lt, xs, islice(xs, 1, None)))
+
+
+def _pair_runs(us: list[int], vs: list[int]) -> Iterator[tuple[int, list[int]]]:
+    """(u, its vs) for each run of equal u in the parallel lists `us` and `vs`."""
+    starts = [0, *compress(range(1, len(us)), map(ne, us, islice(us, 1, None))), len(us)]
+    return ((us[lo], vs[lo:hi]) for lo, hi in zip(starts, islice(starts, 1, None)))
+
+
+def _read_canonical(text: str, pos: int, line_no: int, n1: int, n_total: int,
+                    weights: dict[int, Weight], rows: defaultdict[int, list[int]]
+                    ) -> tuple[int, int]:
+    """Read the canonical body from offset `pos`, after line `line_no`, a chunk at a time.
+
+    The canonical body is what `serialize_*` and `gen` write: 'n <id>
+    <k>' lines with ids ascending, then 'e <u> <v>' lines with (u, v)
+    ascending, all plain digits and single spaces, each ending in
+    "\\n". One regex match both checks a chunk of such lines and finds
+    where it ends. The chunk is then read with one `str.split` and one
+    `int()` a token, range-checked by its first and last id (weights) or
+    by min and max (endpoints), and checked strictly ascending, which
+    also rules out duplicates; edges are compared as u * (n_total + 1)
+    + v. A chunk that passes goes into `weights` and `rows`, as the line
+    loop would have put it. Returns the offset and line number of the
+    last line taken; the first chunk that fails a check, and everything
+    after it, is left to the line loop, which words every error.
+    """
+    last = 0
+    while run := _WEIGHT_RUN.match(text, pos):
+        columns = _columns(run)
+        if columns is None:
+            return pos, line_no
+        ids, ws = columns
+        if not (last < ids[0] and ids[-1] <= n_total and _ascending(ids)):
+            return pos, line_no
+        weights.update(zip(ids, ws))
+        last, pos, line_no = ids[-1], run.end(), line_no + len(ids)
+    last, base = 0, n_total + 1
+    while run := _EDGE_RUN.match(text, pos):
+        columns = _columns(run)
+        if columns is None:
+            return pos, line_no
+        us, vs = columns
+        keys = list(map(add, map(mul, us, repeat(base)), vs))
+        # ascending keys with every v in range put us in order, so its ends are its bounds
+        if not (1 <= us[0] and us[-1] <= n1 and n1 < min(vs) and max(vs) <= n_total
+                and last < keys[0] and _ascending(keys)):
+            return pos, line_no
+        runs = _pair_runs(us, vs)
+        u, row = next(runs)
+        rows[u] += row  # the first row may go on from the chunk before
+        rows.update(runs)
+        last, pos, line_no = keys[-1], run.end(), line_no + len(us)
+    return pos, line_no
+
+
+def _read_lines(lines: list[str], line_no: int, plain: bool, kind: str, n1: int, n_total: int,
+                weights: dict[int, Weight], rows: defaultdict[int, list[int]]) -> int:
+    """Check each of `lines`, the first being line `line_no` + 1, once, in file order.
+
+    Each edge goes into the row of its first endpoint, each weight into
+    `weights`, on top of what the bulk reader put there. Returns the
+    number of edges in `rows`.
+    """
+    _, first_side, second_side = _TWO_SIDED[kind]
+    base = n_total + 1
     # Each edge read, as one int u * (n_total + 1) + v: a set of pairs would hold a
     # tuple per edge, each one more object for the cyclic garbage collector.
-    edges: set[int] = set()
-    weights: dict[int, Weight] = {}
-    rows: defaultdict[int, list[int]] = defaultdict(list)
-    for line_no, tokens in enumerate(map(str.split, islice(lines, header_line, None)),
-                                     header_line + 1):
+    edges = {u * base + v for u, row in rows.items() for v in row}
+    for line_no, tokens in enumerate(map(str.split, lines), line_no + 1):
         if not tokens:
             continue
         tag = tokens[0]
@@ -166,7 +264,7 @@ def _parse_two_sided(
                 raise ParseError(f"index {u} out of {first_side} range", line_no)
             if not n1 < v <= n_total:
                 raise ParseError(f"index {v} out of {second_side} range", line_no)
-            edge = u * (n_total + 1) + v
+            edge = u * base + v
             if edge in edges:
                 raise ParseError(f"duplicate edge ({u}, {v})", line_no)
             edges.add(edge)
@@ -194,8 +292,43 @@ def _parse_two_sided(
             raise ParseError("edge line needs 'e <u> <v>'", line_no)
         elif tag[0] != "#":
             raise ParseError(f"unknown line kind {tag!r}", line_no)
-    if len(edges) != m:
-        raise ParseError(f"header declares {m} edges but {len(edges)} were listed")
+    return len(edges)
+
+
+def _parse_two_sided(
+    text: str, header_line: int, header: list[str], body: int, kind: str
+) -> BipartiteGraph | SplitGraph:
+    """One strict pass over the text after the header, which is on `header_line`.
+
+    In all-ASCII text whose last line is a canonical 'n' or 'e' line,
+    `_read_canonical` first takes the canonical chunks of the body in
+    bulk. The line loop `_read_lines` reads the rest, from the first
+    line the bulk reader left, with the same state, so no line is read
+    twice. Each line is checked once, in file order, so the first bad
+    line is the one reported; a count mismatch comes after every line,
+    and a claw parameter below 3 last. `_finish_adjacency` builds the
+    graph from the rows of first endpoints without validating them
+    again. In all-ASCII (`plain`) text `str.isdigit` alone is the strict
+    integer rule of `int_field` for nonnegative ids and integral
+    weights, so a plain edge or weight line of the loop costs one
+    `int()` a token.
+    """
+    cls = _TWO_SIDED[kind][0]
+    n1, n2, m, t = _parse_header(header, header_line, kind, 4)
+    n_total = n1 + n2
+    plain = text.isascii()
+    weights: dict[int, Weight] = {}
+    rows: defaultdict[int, list[int]] = defaultdict(list)
+    pos, line_no = body, header_line
+    if plain and _CANONICAL_LINE.fullmatch(text, text.rfind("\n", 0, -1) + 1):
+        pos, line_no = _read_canonical(text, pos, line_no, n1, n_total, weights, rows)
+    if pos < len(text):
+        listed = _read_lines(text[pos:].split("\n"), line_no, plain, kind, n1, n_total,
+                             weights, rows)
+    else:
+        listed = sum(map(len, rows.values()))
+    if listed != m:
+        raise ParseError(f"header declares {m} edges but {listed} were listed")
     try:
         check_claw_parameter(t)
     except ValueError as exc:
@@ -205,14 +338,14 @@ def _parse_two_sided(
 
 
 def _parse_hypergraph(
-    lines: list[str], plain: bool, header_line: int, header: list[str], kind: str
+    text: str, header_line: int, header: list[str], body: int, kind: str
 ) -> Hypergraph:
     n, m, t = _parse_header(header, header_line, kind, 3)
     if t < 2:
         raise ParseError(f"uniformity must be >= 2, got {t}", header_line)
     hyperedges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    for line_no, toks in _rows(lines, header_line):
+    for line_no, toks in _rows(text[body:].split("\n"), header_line):
         if toks[0] != "h":
             raise ParseError(f"unknown line kind {toks[0]!r}", line_no)
         if len(toks) != 1 + t:
@@ -231,11 +364,11 @@ _PARSERS = {"bip": _parse_two_sided, "split": _parse_two_sided, "hyp": _parse_hy
 
 
 def _parse_kind(text: str | bytes, kind: str):
-    lines, plain = _split_lines(text)
-    found = next(_rows(lines), None)
+    text = _decode(text)
+    found = _header(text)
     if found is None:
         raise ParseError(f"empty input, expected a 'p {kind}' header")
-    return _PARSERS[kind](lines, plain, *found, kind)
+    return _PARSERS[kind](text, *found, kind)
 
 
 def parse_bipartite(text: str | bytes) -> BipartiteGraph:
@@ -315,24 +448,24 @@ def serialize_hypergraph(hy: Hypergraph, comments: tuple[str, ...] | list[str] =
     return "\n".join(lines) + "\n"
 
 
-def _sniff(lines: list[str]) -> tuple[str, int, list[str]]:
-    """The format, line number and tokens of the header."""
-    found = next(_rows(lines), None)
+def _sniff(text: str) -> tuple[str, int, list[str], int]:
+    """The format, line number and tokens of the header, and the offset after it."""
+    found = _header(text)
     if found is None:
         raise ParseError("empty input")
-    line_no, tokens = found
+    line_no, tokens, body = found
     if tokens[0] != "p" or len(tokens) < 2 or tokens[1] not in _PARSERS:
         raise ParseError("first content line must be a 'p bip|split|hyp' header", line_no)
-    return tokens[1], line_no, tokens
+    return tokens[1], line_no, tokens, body
 
 
 def sniff_format(text: str | bytes) -> str:
     """Return 'bip', 'split' or 'hyp' from the header of `text`."""
-    return _sniff(_split_lines(text)[0])[0]
+    return _sniff(_decode(text))[0]
 
 
 def parse_auto(text: str | bytes) -> BipartiteGraph | SplitGraph | Hypergraph:
     """Parse any of the three formats, dispatching on the header."""
-    lines, plain = _split_lines(text)
-    kind, header_line, header = _sniff(lines)
-    return _PARSERS[kind](lines, plain, header_line, header, kind)
+    text = _decode(text)
+    kind, header_line, header, body = _sniff(text)
+    return _PARSERS[kind](text, header_line, header, body, kind)

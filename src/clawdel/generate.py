@@ -9,7 +9,10 @@ RETRY_CAP times before giving up.
 `FAMILIES` is the one table of families: each maps to its size keys,
 in the order the `gen` command takes them, and to its builder.
 `bip-random` and `split-random` share one sampler, `_two_sided_random`,
-which draws m of the n1*n2 cross pairs of either graph class.
+which draws m of the n1*n2 cross pairs of either graph class. The
+two-sided families hand their rows to `graphs._finish_adjacency` and
+build through `_from_checked`: the sampler draws only in-range, distinct
+pairs, so no edge is checked again; only t is.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 from typing import Mapping
 
-from .graphs import BipartiteGraph, Edge, Hypergraph, SplitGraph, _without_disjoint_partner
+from .graphs import (BipartiteGraph, Hypergraph, SplitGraph, _finish_adjacency,
+                     _without_disjoint_partner, check_claw_parameter)
 
 RETRY_CAP = 10_000
 
@@ -71,10 +76,11 @@ def provenance(spec: GenSpec) -> str:
 
 
 def _draw_weights(rng: random.Random, spec: GenSpec, n_total: int) -> dict[int, int]:
+    """One draw per vertex, in id order; only non-unit weights are kept, as a graph stores them."""
     if spec.weight_mode[0] == "unit":
         return {}
     _, lo, hi = spec.weight_mode
-    return {v: rng.randint(lo, hi) for v in range(1, n_total + 1)}
+    return {v: w for v in range(1, n_total + 1) if (w := rng.randint(lo, hi)) != 1}
 
 
 def _two_sided_random(
@@ -83,25 +89,35 @@ def _two_sided_random(
     """m of the n1*n2 pairs between the two sides of a `cls` graph, drawn uniformly.
 
     Pair (u, n1 + v) has index (u - 1) * n2 + (v - 1), and the indices
-    are drawn without listing the pairs.
+    are drawn without listing the pairs. Sorted, they come in (u, v)
+    order, so each u's row is one group of consecutive indices.
     """
     if m > n1 * n2:
         kind = cls.__name__.removesuffix("Graph").lower()
         raise ValueError(f"cannot place {m} {noun} in a {n1}x{n2} {kind} graph")
-    edges = ((i // n2 + 1, n1 + i % n2 + 1) for i in rng.sample(range(n1 * n2), m))
-    return cls(n1, n2, edges, spec.t, _draw_weights(rng, spec, n1 + n2))
+    picks = rng.sample(range(n1 * n2), m)
+    picks.sort()
+    weights = _draw_weights(rng, spec, n1 + n2)
+    check_claw_parameter(spec.t)
+    second = range(n1 + 1, n1 + n2 + 1)
+    if n2 <= m:  # one int object per id, shared by all its edges
+        second = list(second)
+    runs = ((q + 1, q + 2, [second[i % n2] for i in row])
+            for q, row in groupby(picks, lambda i: i // n2))
+    return cls._from_checked(n1, n2, spec.t, weights, *_finish_adjacency(n1 + n2, runs))
 
 
 def _bip_dense(rng: random.Random, spec: GenSpec, na: int, nb: int) -> BipartiteGraph:
     dmin = 2 * (spec.t - 1)
     if nb < dmin:
         raise ValueError(f"dense family needs nb >= 2(t-1) = {dmin}, got {nb}")
-    edges: set[Edge] = set()
     b_ids = list(range(na + 1, na + nb + 1))
-    for a in range(1, na + 1):
-        deg = rng.randint(dmin, nb)
-        edges.update((a, b) for b in rng.sample(b_ids, deg))
-    return BipartiteGraph(na, nb, edges, spec.t, _draw_weights(rng, spec, na + nb))
+    rows = [rng.sample(b_ids, rng.randint(dmin, nb)) for _ in range(na)]
+    weights = _draw_weights(rng, spec, na + nb)
+    check_claw_parameter(spec.t)
+    runs = ((a, a + 1, row) for a, row in enumerate(rows, start=1))
+    return BipartiteGraph._from_checked(na, nb, spec.t, weights,
+                                        *_finish_adjacency(na + nb, runs))
 
 
 def _hyp_uniform(rng: random.Random, spec: GenSpec, n: int, m: int) -> Hypergraph:

@@ -29,10 +29,11 @@ construction validates; an id that is not an `int`, such as 2.5 or
 "2", is refused rather than converted, in an edge and as a weight key
 alike. A two-sided edge is checked and put in its first-side row in
 one loop, where a repeated pair is merged, a hyperedge by
-`_check_hyperedge`. The parser, `to_split`, `cross_edge_shadow` and
-the cover constructions build through the internal `_from_checked`
-constructors from parts already checked: line by line, or when the
-source graph or hypergraph was built. All types are immutable after
+`_check_hyperedge`. The parser, the two-sided generators, `to_split`,
+`cross_edge_shadow` and the cover constructions build through the
+internal `_from_checked` constructors from parts already checked: as
+the text is read, as the sampler draws them, or when the source graph
+or hypergraph was built. All types are immutable after
 construction (`adj` is read-only by convention) and safe to share
 across threads.
 """
@@ -81,17 +82,21 @@ def _finish_adjacency(
     and at least one of them. The runs are ascending and disjoint; a
     builder that has one row per id passes one-id runs (hi = lo + 1).
     This is the one place a second-side list is made. Each run's row is
-    sorted once into one tuple that all its ids share, and walking the
-    runs in order puts each first-side id in its neighbours' lists, so
-    they come out sorted without a sort. A longer run extends each
-    neighbour's list from one list of its ids, so every list holds the
-    same int objects.
+    sorted into one tuple that all its ids share; a row that is already
+    an ascending tuple is stored as it is, so a tuple handed for many
+    one-id runs, as `vc-dense` hands each edge's row once per block, is
+    stored once. Walking the runs in order puts each first-side id in
+    its neighbours' lists, so they come out sorted without a sort. A
+    longer run extends each neighbour's list from one list of its ids,
+    so every list holds the same int objects.
     """
     adj: list[tuple[int, ...]] = [()] * (n_total + 1)
     columns: defaultdict[int, list[int]] = defaultdict(list)
     first: list[int] = []
     for lo, hi, row in runs:
-        row = tuple(sorted(row))
+        ordered = tuple(sorted(row))
+        if ordered != row:  # not a tuple, or not ascending
+            row = ordered
         if hi - lo == 1:
             adj[lo] = row
             first.append(lo)

@@ -14,8 +14,9 @@ source hypergraph was checked when it was built, so each hands its
 rows of B-neighbours to `graphs._finish_adjacency` with no edge
 re-checked; only t is checked. `hvc-osbcd` hands one run of ids per
 gadget, whose A-vertices then share one row; `vc-dense` hands one row
-per A-vertex. A map survives its sidecar text unchanged:
-`read_map(write_map(r)) == r`.
+per A-vertex, one ascending tuple per source edge, which that edge's
+A-vertices in all 2n blocks share. A map survives its sidecar text
+unchanged: `read_map(write_map(r)) == r`.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def from_regular_graph_cover(g: Hypergraph) -> tuple[BipartiteGraph, ReductionMa
     # The A-vertex of edge k has the same row in each of the 2n blocks: both
     # ends in each copy of V, then the pad group.
     pads = list(range(pad_lo, pad_lo + pad))
-    edge_rows = [[n_a + c * n + w for c in range(x + 1) for w in e] + pads
+    edge_rows = [tuple(sorted([n_a + c * n + w for c in range(x + 1) for w in e] + pads))
                  for e in g.hyperedges]
     runs = ((a, a + 1, row) for a, row in enumerate(edge_rows * (2 * n), start=1))
     groups = [("E", 1, m), *((f"E{j}", j * m + 1, (j + 1) * m) for j in range(1, 2 * n)),

@@ -214,10 +214,11 @@ def test_verify_non_minimal_solution(tmp_path, capsys):
 
 
 def test_verify_bad_ids_exit_2(tmp_path, capsys):
-    instance = write(tmp_path / "g1.bip", G1_TEXT)
-    solution = write(tmp_path / "sol.txt", "42")
-    assert main(["verify", "--input", instance, "--solution", solution]) == 2
-    capsys.readouterr()
+    instance = write(tmp_path / "g1.bip", G1_TEXT)  # ids 1..5
+    for ids, bad in (("42", [42]), ("0", [0]), ("1 -1", [-1]), ("6 5", [6]), ("2 0 6", [0, 6])):
+        solution = write(tmp_path / "sol.txt", ids)
+        assert main(["verify", "--input", instance, "--solution", solution]) == 2
+        assert capsys.readouterr().err == f"error: solution ids {bad} out of range\n"
 
 
 @pytest.mark.parametrize("token", ["+1", "\u0661", "1_0", "\uff11"])

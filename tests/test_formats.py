@@ -20,7 +20,8 @@ from clawdel import (
     serialize_split,
     sniff_format,
 )
-from clawdel.formats import _RUN_CHUNK, MAX_VERTICES
+from clawdel import formats
+from clawdel.formats import _CHUNK, _RUN_CHUNK, MAX_VERTICES
 from clawdel.generate import FAMILIES
 from conftest import FAMILY_SIZES, count_validations, random_bipartite
 
@@ -378,3 +379,189 @@ def test_serialization_equals_the_per_edge_text():
         text = SERIALIZERS[type(g)](g, comments)
         assert text == _per_edge_text(g, comments)
         assert parse_auto(text) == g
+
+
+def _read_by_the_loop(text):
+    """`text` with a comment line after it, which the bulk reader never takes, so
+    the line loop reads every line; the line numbers stay as they were."""
+    return text + ("" if text.endswith("\n") else "\n") + "# end\n"
+
+
+def _outcome(text):
+    """Every part of the parsed graph that must match, weight types included, or the error."""
+    try:
+        g = parse_auto(text)
+    except ParseError as exc:
+        return str(exc)
+    if isinstance(g, Hypergraph):
+        return (g,)
+    return g, g.adj, g.touched, {v: (type(w), w) for v, w in g.weights.items()}
+
+
+def _assert_parsed_like_the_loop(text):
+    """`text` parses to what the line loop alone makes of it, or fails with its message."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_read_canonical", None)  # a call would raise TypeError
+        loop = _outcome(_read_by_the_loop(text))
+    assert _outcome(text) == loop
+    return loop
+
+
+@pytest.mark.parametrize("mode", [("unit",), ("uniform", 0, 9), ("uniform", 1, 9)])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_a_generated_text_is_read_in_bulk_like_the_line_loop(family, mode):
+    for seed in range(4):
+        g = generate(GenSpec(family, 3, seed, FAMILY_SIZES[family], mode))
+        text = SERIALIZERS[type(g)](g, ["generated"])
+        assert _assert_parsed_like_the_loop(text)[0] == g
+        if not isinstance(g, Hypergraph):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(formats, "_read_lines", None)  # the bulk reader takes every line
+                assert parse_auto(text) == g
+
+
+def _base_texts():
+    for family in ("bip-random", "split-random"):
+        g = generate(GenSpec(family, 3, 7, FAMILY_SIZES[family], ("uniform", 0, 9)))
+        yield g, SERIALIZERS[type(g)](g)
+
+
+def _mutations(g, text):
+    """(name, text) pairs: each changes one thing about the canonical `text`."""
+    n1, n_total = len(g.sides[0]), g.n_vertices
+    lines = text.split("\n")
+    e0 = next(i for i, line in enumerate(lines) if line.startswith("e "))
+    _, u, v = lines[e0 + 5].split()
+    _, w, k = lines[3].split()
+    long = "9" * 5000
+
+    def put(i, line):
+        return "\n".join(lines[:i] + [line] + lines[i + 1:])
+
+    def swap(i, j):
+        swapped = list(lines)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        return "\n".join(swapped)
+
+    header = lines[0].split()
+    yield "swapped edges", swap(e0 + 2, e0 + 9)
+    yield "swapped weights", swap(1, 4)
+    yield "weight after the edges", swap(e0 - 1, len(lines) - 2)
+    yield "duplicate edge", put(e0 + 6, lines[e0 + 5])
+    yield "duplicate weight", put(4, lines[3])
+    for a, b in ((0, v), (n1 + 1, v), (u, n1), (u, n_total + 1)):
+        yield f"edge ({a}, {b})", put(e0 + 5, f"e {a} {b}")
+    for x in (0, n_total + 1):
+        yield f"weight of {x}", put(3, f"n {x} {k}")
+    # out of range at either end, where the order of the lines still holds
+    _, u_last, _ = lines[-2].split()
+    yield "first edge (0, v)", put(e0, f"e 0 {v}")
+    yield "last edge (n1 + 1, v)", put(len(lines) - 2, f"e {n1 + 1} {v}")
+    yield "last edge (u, n + 1)", put(len(lines) - 2, f"e {u_last} {n_total + 1}")
+    yield "first weight of 0", put(1, f"n 0 {k}")
+    yield "last weight of n + 1", put(e0 - 1, f"n {n_total + 1} {k}")
+    yield "+5", put(e0 + 5, f"e +{u} {v}")
+    yield "+5 weight", put(3, f"n {w} +{k}")
+    yield "leading zeros", put(e0 + 5, f"e 0{u} 00{v}")
+    yield "leading zero weight", put(3, f"n 0{w} 0{k}")
+    yield "trailing space", put(e0 + 5, lines[e0 + 5] + " ")
+    yield "CRLF", text.replace("\n", "\r\n")
+    yield "tab", put(e0 + 5, f"e\t{u} {v}")
+    yield "unit weight", put(3, f"n {w} 1")
+    yield "6/3 weight", put(3, f"n {w} 6/3")
+    yield "long endpoint", put(e0 + 5, f"e {u} {long}")
+    yield "long weight", put(3, f"n {w} {long}")
+    yield "long leading zeros", put(e0 + 5, f"e {'0' * 4999}{u} {v}")
+    yield "no final newline", text[:-1]
+    for m in (int(header[4]) - 1, int(header[4]) + 1):
+        yield f"m = {m}", put(0, " ".join(header[:4] + [str(m), header[5]]))
+    yield "t = 2", put(0, " ".join(header[:5] + ["2"]))
+
+
+def test_a_changed_canonical_text_parses_like_the_line_loop():
+    outcomes = set()
+    for g, text in _base_texts():
+        for name, changed in _mutations(g, text):
+            assert changed != text, name
+            loop = _assert_parsed_like_the_loop(changed)
+            outcomes.add(type(loop))
+            if name in ("swapped edges", "swapped weights", "weight after the edges", "CRLF",
+                        "leading zeros", "trailing space", "tab", "no final newline"):
+                assert loop[0] == g, name
+    assert outcomes == {tuple, str}
+
+
+def _spy_on_the_loop(mp):
+    """The line number after which each call of the line loop starts."""
+    starts = []
+    original = formats._read_lines
+
+    def spy(lines, line_no, *rest):
+        starts.append(line_no)
+        return original(lines, line_no, *rest)
+
+    mp.setattr(formats, "_read_lines", spy)
+    return starts
+
+
+def test_a_body_longer_than_one_chunk_goes_to_the_loop_from_its_first_bad_chunk():
+    # more than one chunk of weight lines, then more than two of edge lines
+    g = generate(GenSpec("bip-random", 3, 5, {"na": 2000, "nb": 3000, "m": 2 * _CHUNK + 300},
+                         ("uniform", 1, 9)))
+    text = serialize_bipartite(g, ["generated"])
+    lines = text.split("\n")
+    w0 = 2
+    e0 = next(i for i, line in enumerate(lines) if line.startswith("e "))
+    assert e0 - w0 > _CHUNK
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_read_lines", None)  # the bulk reader takes every line
+        bulk = _outcome(text)
+    assert bulk == _outcome(_read_by_the_loop(text)) and bulk[0] == g
+    # a row goes on across each chunk boundary
+    for at in (e0 + _CHUNK, e0 + 2 * _CHUNK):
+        assert lines[at - 1].split()[1] == lines[at].split()[1]
+    cases = []
+    for first, at in ((w0, w0 + _CHUNK), (e0, e0 + _CHUNK), (e0, e0 + _CHUNK - 1),
+                      (e0, e0 + 2 * _CHUNK)):
+        tag, x, _ = lines[at].split()
+        cases += [(first, at, "duplicate", {at: lines[at - 1]}),
+                  (first, at, "swapped", {at: lines[at + 1], at + 1: lines[at]})]
+        if tag == "e":
+            cases.append((first, at, "out of range", {at: f"e {x} 1"}))
+    for first, at, name, changed in cases:
+        new = [changed.get(i, line) for i, line in enumerate(lines)]
+        with pytest.MonkeyPatch.context() as mp:
+            starts = _spy_on_the_loop(mp)
+            loop = _assert_parsed_like_the_loop("\n".join(new))
+        # the bulk reader took every chunk before the first one out of order or range
+        bad = max(changed) if name == "swapped" else at
+        chunk_start = first + (bad - first) // _CHUNK * _CHUNK
+        assert starts == [2, chunk_start], (at, name)  # the loop-only twin, then the text
+        if name == "swapped":
+            assert loop[0] == g
+        else:
+            assert loop.startswith(f"line {at + 1}: "), loop
+
+
+def _parse_overhead(text):
+    """The graph parsed from `text`, and the peak memory parsing took beyond what it holds."""
+    tracemalloc.start()
+    try:
+        g = parse_auto(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return g, peak - held
+
+
+def test_a_canonical_body_is_read_a_chunk_at_a_time():
+    g = generate(GenSpec("bip-random", 3, 5, {"na": 2000, "nb": 3000, "m": 30_000},
+                         ("uniform", 1, 9)))
+    text = serialize_bipartite(g)
+    bulk, bulk_overhead = _parse_overhead(text)
+    loop, loop_overhead = _parse_overhead(_read_by_the_loop(text))
+    assert bulk == loop == g
+    # The line loop holds every line and a set of every edge, about 5.7 MB here; the
+    # bulk reader holds one chunk's tokens, about 1.1 MB. Reading all 34,000 lines as
+    # one chunk took it to 5.1 MB.
+    assert bulk_overhead < loop_overhead / 3

@@ -15,7 +15,7 @@ from clawdel import (
 from clawdel.cli import main
 from clawdel.formats import parse_auto
 from clawdel.generate import FAMILIES
-from conftest import FAMILY_SIZES
+from conftest import FAMILY_SIZES, count_validations
 
 
 def test_same_spec_same_bytes():
@@ -92,6 +92,30 @@ def test_generated_weights_are_ints(family, tmp_path):
         assert {type(w) for w in h.weights.values()} == {int}
         assert 0 in h.weights.values() and 1 not in h.weights.values()
         assert len(h.weights) + sum(h.weight(v) == 1 for v in h.vertices) == h.n_vertices
+
+
+@pytest.mark.parametrize("mode", [("unit",), ("uniform", 0, 9), ("uniform", 1, 9)])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_a_generated_graph_equals_its_public_construction(family, mode, monkeypatch):
+    sizes = [dict(FAMILY_SIZES[family], seed=seed) for seed in range(5)]
+    if family in ("bip-random", "split-random"):
+        first, second, _ = FAMILIES[family][0]
+        sizes.append({first: 7, second: 9, "m": 63})  # every pair
+        sizes.append({first: 30, second: 1, "m": 11})  # one second-side id
+        sizes.append({first: 5, second: 8, "m": 0})
+    runs = count_validations(monkeypatch)
+    built = [generate(GenSpec(family, 3, size.pop("seed", 9), size, mode)) for size in sizes]
+    # each two-sided generator builds from its own checked parts
+    assert not runs.keys() - {"Hypergraph"}
+    for g in built:
+        if isinstance(g, Hypergraph):
+            assert g == Hypergraph(g.n, g.t, g.hyperedges)
+            continue
+        pairs = [(u, v) for u in reversed(g.sides[0]) for v in g.adj[u]]
+        public = type(g)(*map(len, g.sides), pairs, g.t, g.weights)
+        assert g == public and g.adj == public.adj and g.touched == public.touched
+        assert {v: (type(w), w) for v, w in g.weights.items()} == \
+            {v: (type(w), w) for v, w in public.weights.items()}
 
 
 def test_generator_errors():

@@ -114,6 +114,9 @@ def test_cover_constructions_build_from_checked_parts(monkeypatch):
     for hy, g in zip(hyps, built):
         # every A-vertex of gadget j holds the one row object of hyperedge j
         assert len({id(g.adj[a]) for a in g.a_side}) == hy.m
+    for source, g in zip(regular, built[len(hyps):]):
+        # the A-vertex of edge k holds the one row object of edge k in each of the 2n blocks
+        assert len({id(g.adj[a]) for a in g.a_side}) == source.m
 
 
 def _construction_peak(construct, source):
