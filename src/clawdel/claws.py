@@ -16,6 +16,7 @@ that ends on a claw-free `DegreeState` runs `prune` on it directly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -99,11 +100,16 @@ def centre_candidates(g: BipartiteGraph) -> list[int]:
     """The A-vertices with t or more neighbours, in id order.
 
     Only these can centre a claw, whatever is deleted. They are read
-    off `g.touched`, so the passes that start from this list cost
+    off `_touched_a_side`, so the passes that start from this list cost
     O(|E|) and spend nothing on isolated vertices.
     """
-    n_a, t, adj = g.n_a, g.t, g.adj
-    return [a for a in g.touched if a <= n_a and len(adj[a]) >= t]
+    t, adj = g.t, g.adj
+    return [a for a in _touched_a_side(g) if len(adj[a]) >= t]
+
+
+def _touched_a_side(g: BipartiteGraph) -> tuple[int, ...]:
+    """The A-vertices with an edge, ascending: the prefix of `g.touched` up to n_a."""
+    return g.touched[:bisect_right(g.touched, g.n_a)]
 
 
 class DegreeState:
@@ -114,13 +120,19 @@ class DegreeState:
     claw survives exactly while it is nonzero. Removing or restoring a
     vertex, and testing whether a removed one can come back without
     creating a claw, cost O(its degree). `candidates` lists the only
-    A-vertices that can ever be centres (`centre_candidates`).
+    A-vertices that can ever be centres (`centre_candidates`). Building
+    the state fills two lists at C speed and takes one Python step for
+    each A-vertex with an edge, none for an isolated one.
     """
 
     def __init__(self, g: BipartiteGraph, removed: Iterable[int] = ()) -> None:
         self.g = g
-        alive = self.alive = [False] + [True] * g.n_vertices
-        deg = self.deg = list(map(len, g.adj[: g.n_a + 1]))
+        adj = g.adj
+        alive = self.alive = [True] * len(adj)
+        alive[0] = False
+        deg = self.deg = [0] * (g.n_a + 1)
+        for a in _touched_a_side(g):  # every other A-vertex has no edge
+            deg[a] = len(adj[a])
         end = len(alive)
         for v in removed:
             if 0 < v < end and alive[v]:

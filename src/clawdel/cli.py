@@ -138,14 +138,38 @@ def _print_payload(payload: dict, as_json: bool) -> None:
     print(f"time_ms: {payload['time_ms']}")
 
 
+# "00 " to "99 ": the last two digits of an id in a whole hundred, and its space.
+_TAILS = [b"%02d " % k for k in range(100)]
+
+
+def _id_text(n: int) -> bytearray:
+    """The ids 1..n in ASCII, each followed by a space: b"1 2 ... n ".
+
+    Each whole hundred from 100 on is its prefix joined to `_TAILS`;
+    the ids below 100 and the last partial hundred take one `%` format
+    each. So no tuple of n ints is built, and the step costs what the
+    text's bytes cost.
+    """
+    hundreds = range(1, max((n + 1) // 100, 1))
+    head, rest = range(1, min(n, 99) + 1), range(100 * hundreds.stop, n + 1)
+    text = bytearray(b"%d " * len(head) % tuple(head))
+    for prefix in map(b"%d".__mod__, hundreds):
+        text += prefix
+        text += prefix.join(_TAILS)
+    text += b"%d " * len(rest) % tuple(rest)
+    return text
+
+
 def _write_trace(path: str, trace, vertices: range) -> None:
     """One line per raise; the active set is the vertices not yet selected.
 
-    The active ids are one ASCII buffer with a space at each end, and
-    each tight id is cut out of it in place, so no step copies the set:
-    the lines are written from the buffer as they are made.
+    `vertices` is the graph's id range 1..n. The active ids are one
+    ASCII buffer from `_id_text` with a space put in front, and each
+    tight id is cut out of it in place, so no step copies the set: the
+    lines are written from the buffer as they are made.
     """
-    active = bytearray(b" " + b"%d " * len(vertices) % tuple(vertices))
+    active = _id_text(len(vertices))
+    active[:0] = b" "
     with open(path, "wb") as out:
         out.write(b"# dual trace (primal-dual): raise amount, tight vertex, active set\n")
         for step in trace:

@@ -164,30 +164,31 @@ _EDGE_RUN = re.compile(r"(?:e [0-9]+ [0-9]+\n){1,%d}" % _CHUNK)
 _CANONICAL_LINE = re.compile(r"[ne] [0-9]+ [0-9]+\n")
 
 
-def _columns(run: re.Match) -> list[list[int]] | None:
+def _columns(run: re.Match) -> list[tuple[int, ...]] | None:
     """The two integer columns of a matched run of '<tag> <a> <b>' lines.
 
     None when a token has more digits than int() converts.
     """
     tokens = run.group().split()
     try:
-        return [list(map(int, islice(tokens, k, None, 3))) for k in (1, 2)]
+        return [tuple(map(int, islice(tokens, k, None, 3))) for k in (1, 2)]
     except ValueError:
         return None
 
 
-def _ascending(xs: list[int]) -> bool:
+def _ascending(xs: list[int] | tuple[int, ...]) -> bool:
     return all(map(lt, xs, islice(xs, 1, None)))
 
 
-def _pair_runs(us: list[int], vs: list[int]) -> Iterator[tuple[int, list[int]]]:
-    """(u, its vs) for each run of equal u in the parallel lists `us` and `vs`."""
+def _pair_runs(us: tuple[int, ...], vs: tuple[int, ...]
+               ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(u, its vs) for each run of equal u in the parallel tuples `us` and `vs`."""
     starts = [0, *compress(range(1, len(us)), map(ne, us, islice(us, 1, None))), len(us)]
     return ((us[lo], vs[lo:hi]) for lo, hi in zip(starts, islice(starts, 1, None)))
 
 
 def _read_canonical(text: str, pos: int, line_no: int, n1: int, n_total: int,
-                    weights: dict[int, Weight], rows: defaultdict[int, list[int]]
+                    weights: dict[int, Weight], rows: defaultdict[int, list[int] | tuple[int, ...]]
                     ) -> tuple[int, int]:
     """Read the canonical body from offset `pos`, after line `line_no`, a chunk at a time.
 
@@ -200,9 +201,12 @@ def _read_canonical(text: str, pos: int, line_no: int, n1: int, n_total: int,
     by min and max (endpoints), and checked strictly ascending, which
     also rules out duplicates; edges are compared as u * (n_total + 1)
     + v. A chunk that passes goes into `weights` and `rows`, as the line
-    loop would have put it. Returns the offset and line number of the
-    last line taken; the first chunk that fails a check, and everything
-    after it, is left to the line loop, which words every error.
+    loop would have put it, each row as a checked-ascending tuple that
+    `_finish_adjacency` stores as it is. A row that goes on from the
+    chunk before becomes a list once and grows in place, so it costs
+    its length. Returns the offset and line number of the last line
+    taken; the first chunk that fails a check, and everything after
+    it, is left to the line loop, which words every error.
     """
     last = 0
     while run := _WEIGHT_RUN.match(text, pos):
@@ -227,19 +231,27 @@ def _read_canonical(text: str, pos: int, line_no: int, n1: int, n_total: int,
             return pos, line_no
         runs = _pair_runs(us, vs)
         u, row = next(runs)
-        rows[u] += row  # the first row may go on from the chunk before
+        before = rows.get(u)  # the row may go on from the chunk before
+        if before is None:
+            rows[u] = row
+        elif type(before) is tuple:
+            rows[u] = [*before, *row]
+        else:
+            before += row
         rows.update(runs)
         last, pos, line_no = keys[-1], run.end(), line_no + len(us)
     return pos, line_no
 
 
 def _read_lines(lines: list[str], line_no: int, plain: bool, kind: str, n1: int, n_total: int,
-                weights: dict[int, Weight], rows: defaultdict[int, list[int]]) -> int:
+                weights: dict[int, Weight],
+                rows: defaultdict[int, list[int] | tuple[int, ...]]) -> int:
     """Check each of `lines`, the first being line `line_no` + 1, once, in file order.
 
     Each edge goes into the row of its first endpoint, each weight into
-    `weights`, on top of what the bulk reader put there. Returns the
-    number of edges in `rows`.
+    `weights`, on top of what the bulk reader put there; a tuple row of
+    the bulk reader becomes a list the first time an edge is added to
+    it. Returns the number of edges in `rows`.
     """
     _, first_side, second_side = _TWO_SIDED[kind]
     base = n_total + 1
@@ -268,7 +280,10 @@ def _read_lines(lines: list[str], line_no: int, plain: bool, kind: str, n1: int,
             if edge in edges:
                 raise ParseError(f"duplicate edge ({u}, {v})", line_no)
             edges.add(edge)
-            rows[u].append(v)
+            try:
+                rows[u].append(v)
+            except AttributeError:  # a tuple row of the bulk reader
+                rows[u] = [*rows[u], v]
         elif tag == "n":
             if len(tokens) != 3:
                 raise ParseError("weight line needs 'n <id> <weight>'", line_no)
@@ -318,7 +333,7 @@ def _parse_two_sided(
     n_total = n1 + n2
     plain = text.isascii()
     weights: dict[int, Weight] = {}
-    rows: defaultdict[int, list[int]] = defaultdict(list)
+    rows: defaultdict[int, list[int] | tuple[int, ...]] = defaultdict(list)
     pos, line_no = body, header_line
     if plain and _CANONICAL_LINE.fullmatch(text, text.rfind("\n", 0, -1) + 1):
         pos, line_no = _read_canonical(text, pos, line_no, n1, n_total, weights, rows)

@@ -20,9 +20,11 @@ edge, so a pass that only cares about those skips the isolated ones.
 Adjacency has one rule, `_finish_adjacency`: every builder hands over
 ascending runs of consecutive first-side ids, each with one row of
 second-side neighbours that all its ids share (a builder with a row
-per id hands one-id runs), and the second-side lists are derived from
-the runs in id order, so they come out sorted. Every traversal in the
-package is therefore deterministic.
+per id hands one-id runs). A row handed as a tuple is ascending by
+contract and is stored as it is, as the parser hands the rows it has
+checked ascending; any other row is sorted. The second-side lists are
+derived from the runs in id order, so they come out sorted. Every
+traversal in the package is therefore deterministic.
 
 A graph is checked once, where it enters the program. Public
 construction validates; an id that is not an `int`, such as 2.5 or
@@ -78,25 +80,24 @@ def _finish_adjacency(
     """Adjacency by id from runs of first-side rows, and the ids with an edge, ascending.
 
     `runs` holds `(lo, hi, row)` triples: the consecutive first-side ids
-    lo..hi-1 all have the second-side neighbours `row`, in any order,
-    and at least one of them. The runs are ascending and disjoint; a
-    builder that has one row per id passes one-id runs (hi = lo + 1).
-    This is the one place a second-side list is made. Each run's row is
-    sorted into one tuple that all its ids share; a row that is already
-    an ascending tuple is stored as it is, so a tuple handed for many
-    one-id runs, as `vc-dense` hands each edge's row once per block, is
-    stored once. Walking the runs in order puts each first-side id in
-    its neighbours' lists, so they come out sorted without a sort. A
-    longer run extends each neighbour's list from one list of its ids,
-    so every list holds the same int objects.
+    lo..hi-1 all have the second-side neighbours `row`, and at least one
+    of them. A tuple row is ascending by contract and is stored as it
+    is; any other row, in any order, is sorted into one tuple. All ids
+    of a run share their row, and a tuple handed for many one-id runs,
+    as `vc-dense` hands each edge's row once per block, is stored once.
+    The runs are ascending and disjoint; a builder that has one row per
+    id passes one-id runs (hi = lo + 1). This is the one place a
+    second-side list is made. Walking the runs in order puts each
+    first-side id in its neighbours' lists, so they come out sorted
+    without a sort. A longer run extends each neighbour's list from one
+    list of its ids, so every list holds the same int objects.
     """
     adj: list[tuple[int, ...]] = [()] * (n_total + 1)
     columns: defaultdict[int, list[int]] = defaultdict(list)
     first: list[int] = []
     for lo, hi, row in runs:
-        ordered = tuple(sorted(row))
-        if ordered != row:  # not a tuple, or not ascending
-            row = ordered
+        if type(row) is not tuple:  # a tuple row is ascending by contract
+            row = tuple(sorted(row))
         if hi - lo == 1:
             adj[lo] = row
             first.append(lo)
@@ -183,8 +184,16 @@ class _TwoSided:
         return self.weights.get(v, 1)
 
     def total_weight(self, vs: Iterable[int]) -> Fraction:
-        """The weight of `vs`, as a `Fraction`: the stored weights, plus one for each other id."""
-        weights, units, total = self.weights, 0, 0
+        """The weight of `vs`, as a `Fraction`: the stored weights, plus one for each other id.
+
+        A `range`, such as `vertices` or a side, is weighed from its
+        length and the stored weights in it, in O(|weights|).
+        """
+        weights = self.weights
+        if type(vs) is range:
+            inside = [w for v, w in weights.items() if v in vs]
+            return Fraction(sum(inside) + len(vs) - len(inside))
+        units = total = 0
         for v in vs:
             w = weights.get(v)
             if w is None:

@@ -111,9 +111,9 @@ def theta_of_solution(g: BipartiteGraph, solution: Iterable[int]) -> Fraction:
         if not sol:
             return Fraction(0)
         raise ValueError("theta undefined: graph is claw free but solution is nonempty")
-    numer = 0
+    numer, vertices = 0, g.vertices
     for v in sol:
-        if v not in g.vertices:
+        if v not in vertices:
             raise ValueError(f"vertex {v} out of range")
         if v <= g.n_a:
             numer += max(len(adj[v]) - t + 1, 0)

@@ -114,19 +114,28 @@ def _trace_bytes(writer, path, trace, vertices):
 
 # Tight ids next to surviving ids they are a prefix or suffix of (1 beside
 # 10, 11 and 21; 2 beside 12, 20 and 22), the last id, an empty trace, and
-# an empty graph.
+# an empty graph. The larger graphs have tight ids at each end of a whole
+# hundred and at the last id, around the ids where the active-set text
+# changes from one `%` format to whole hundreds and back.
 @pytest.mark.parametrize("n, selected", [
     (30, [1, 11, 2, 21, 10, 12]),
     (30, [30, 3, 29]),
     (22, [21, 1, 22, 2, 20, 12, 11]),
     (9, []),
     (0, []),
+    *((n, sorted({v for v in (99, 100, 101, 199, 9999, 10000) if v <= n} | {n}))
+      for n in (99, 100, 101, 199, 200, 1000, 10000, 10001, 24000)),
 ])
 def test_trace_writer_matches_the_reference_bytes(tmp_path, n, selected):
     trace = [TraceStep(Fraction(k + 1, 3), v) for k, v in enumerate(selected)]
     vertices = range(1, n + 1)
     assert (_trace_bytes(cli._write_trace, tmp_path / "new.txt", trace, vertices)
             == _trace_bytes(ref.write_trace, tmp_path / "old.txt", trace, vertices))
+
+
+def test_the_active_set_text_is_each_id_and_a_space():
+    for n in (*range(1201), 9999, 10_000, 10_001, 100_000):
+        assert cli._id_text(n) == b"%d " * n % tuple(range(1, n + 1)), n
 
 
 def test_trace_writer_matches_the_reference_on_solved_instances(tmp_path):

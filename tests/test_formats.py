@@ -543,6 +543,28 @@ def test_a_body_longer_than_one_chunk_goes_to_the_loop_from_its_first_bad_chunk(
             assert loop.startswith(f"line {at + 1}: "), loop
 
 
+def test_the_line_loop_extends_a_row_the_bulk_reader_stored():
+    text = "p bip 2 4 4 3\ne 1 4\ne 1 5\ne 2 4\n# c\ne 1 6\n"
+    with pytest.MonkeyPatch.context() as mp:
+        starts = _spy_on_the_loop(mp)
+        parsed = parse_auto(text)
+    assert starts == [4]  # the bulk reader took lines 2-4, the loop the rest
+    public = BipartiteGraph(2, 4, [(1, 4), (1, 5), (2, 4), (1, 6)], 3)
+    assert parsed == public
+    assert parsed.adj == public.adj == [(), (4, 5, 6), (4,), (), (1, 2), (1,), (1,)]
+    assert parsed.touched == public.touched
+
+
+def test_a_row_across_every_chunk_parses_to_its_public_construction():
+    n_b = 200_000
+    text = f"p bip 1 {n_b} {n_b} 3\n" + "".join(f"e 1 {v}\n" for v in range(2, n_b + 2))
+    assert -(-n_b // _CHUNK) == 49
+    public = BipartiteGraph(1, n_b, [(1, v) for v in range(2, n_b + 2)], 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_read_lines", None)  # the bulk reader takes every line
+        _assert_parsed_like_public(text, public)
+
+
 def _parse_overhead(text):
     """The graph parsed from `text`, and the peak memory parsing took beyond what it holds."""
     tracemalloc.start()

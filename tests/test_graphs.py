@@ -56,6 +56,18 @@ def test_unit_weights_are_canonicalized():
             assert total == sum((h.weights.get(v, Fraction(1)) for v in vs), start=Fraction(0))
 
 
+def test_a_range_weighs_like_its_ids():
+    for seed in range(30):
+        h = random_bipartite(seed, weighted=True)
+        n = h.n_vertices
+        ranges = [h.vertices, *h.sides, range(1, 1), range(2, n, 3), range(n, 0, -2),
+                  range(-3, n + 5)]
+        for vs in ranges:
+            total = h.total_weight(vs)
+            assert type(total) is Fraction
+            assert total == h.total_weight(iter(vs))
+
+
 @pytest.mark.parametrize(
     "raw, stored",
     [(3, 3), (0, 0), (Fraction(4, 2), 2), (2.0, 2),
