@@ -29,10 +29,10 @@ A 'p bip' or 'p split' body in the canonical form that serialization and
 `gen` write is read in bulk, a chunk of up to 4,096 lines at a time: one
 regex match checks the chunk's form, and one `str.split`, one `int()` a
 token and a few passes over the chunk's columns check its ranges and
-its order. The text must be all ASCII and end in a canonical 'n' or 'e'
-line. The first chunk that fails a check, and everything after it, goes
-to the line loop, which reads any text and words every error, so a text
-parses to the same graph, or fails with the same message, either way.
+its order. The text must end in a canonical line. The first chunk that
+fails a check, and everything after it, goes to the line loop, which
+reads any text and words every error, so a text parses to the same
+graph, or fails with the same message, either way.
 The bulk reader holds one chunk's tokens at a time, never a list of the
 text's lines or a set of its edges.
 
@@ -243,35 +243,29 @@ def _read_canonical(text: str, pos: int, line_no: int, n1: int, n_total: int,
     return pos, line_no
 
 
-def _read_lines(lines: list[str], line_no: int, plain: bool, kind: str, n1: int, n_total: int,
+def _read_lines(lines: list[str], line_no: int, kind: str, n1: int, n_total: int,
                 weights: dict[int, Weight],
                 rows: defaultdict[int, list[int] | tuple[int, ...]]) -> int:
     """Check each of `lines`, the first being line `line_no` + 1, once, in file order.
 
-    Each edge goes into the row of its first endpoint, each weight into
-    `weights`, on top of what the bulk reader put there; a tuple row of
-    the bulk reader becomes a list the first time an edge is added to
-    it. Returns the number of edges in `rows`.
+    Every id and endpoint goes through `int_field`, every weight through
+    `_parse_weight`. Each edge goes into the row of its first endpoint,
+    each weight into `weights`, on top of what the bulk reader put
+    there; a tuple row of the bulk reader becomes a list the first time
+    an edge is added to it. Returns the number of edges in `rows`.
     """
     _, first_side, second_side = _TWO_SIDED[kind]
     base = n_total + 1
     # Each edge read, as one int u * (n_total + 1) + v: a set of pairs would hold a
     # tuple per edge, each one more object for the cyclic garbage collector.
     edges = {u * base + v for u, row in rows.items() for v in row}
-    for line_no, tokens in enumerate(map(str.split, lines), line_no + 1):
-        if not tokens:
-            continue
+    for line_no, tokens in _rows(lines, line_no):
         tag = tokens[0]
-        if tag == "e" and len(tokens) == 3:
-            _, su, sv = tokens
-            if plain and su.isdigit() and sv.isdigit():
-                try:
-                    u, v = int(su), int(sv)
-                except ValueError:  # too many digits; int_field names the token
-                    u, v = (int_field(tok, "edge endpoint", line_no) for tok in (su, sv))
-            else:
-                u = int_field(su, "edge endpoint", line_no)
-                v = int_field(sv, "edge endpoint", line_no)
+        if tag == "e":
+            if len(tokens) != 3:
+                raise ParseError("edge line needs 'e <u> <v>'", line_no)
+            u = int_field(tokens[1], "edge endpoint", line_no)
+            v = int_field(tokens[2], "edge endpoint", line_no)
             if not 1 <= u <= n1:
                 raise ParseError(f"index {u} out of {first_side} range", line_no)
             if not n1 < v <= n_total:
@@ -287,25 +281,13 @@ def _read_lines(lines: list[str], line_no: int, plain: bool, kind: str, n1: int,
         elif tag == "n":
             if len(tokens) != 3:
                 raise ParseError("weight line needs 'n <id> <weight>'", line_no)
-            _, sv, sw = tokens
-            w = None
-            if plain and sv.isdigit() and sw.isdigit():
-                try:
-                    v, w = int(sv), int(sw)
-                except ValueError:  # too many digits; the checks below name the token
-                    pass
-            if w is None:
-                v = int_field(sv, "vertex id", line_no)
+            v = int_field(tokens[1], "vertex id", line_no)
             if not 1 <= v <= n_total:
                 raise ParseError(f"vertex id {v} out of range 1..{n_total}", line_no)
             if v in weights:
                 raise ParseError(f"duplicate weight for vertex {v}", line_no)
-            if w is None:
-                w = _parse_weight(sw, line_no)
-            weights[v] = w
-        elif tag == "e":
-            raise ParseError("edge line needs 'e <u> <v>'", line_no)
-        elif tag[0] != "#":
+            weights[v] = _parse_weight(tokens[2], line_no)
+        else:
             raise ParseError(f"unknown line kind {tag!r}", line_no)
     return len(edges)
 
@@ -315,7 +297,7 @@ def _parse_two_sided(
 ) -> BipartiteGraph | SplitGraph:
     """One strict pass over the text after the header, which is on `header_line`.
 
-    In all-ASCII text whose last line is a canonical 'n' or 'e' line,
+    When the text's last line is a canonical 'n' or 'e' line,
     `_read_canonical` first takes the canonical chunks of the body in
     bulk. The line loop `_read_lines` reads the rest, from the first
     line the bulk reader left, with the same state, so no line is read
@@ -323,23 +305,18 @@ def _parse_two_sided(
     line is the one reported; a count mismatch comes after every line,
     and a claw parameter below 3 last. `_finish_adjacency` builds the
     graph from the rows of first endpoints without validating them
-    again. In all-ASCII (`plain`) text `str.isdigit` alone is the strict
-    integer rule of `int_field` for nonnegative ids and integral
-    weights, so a plain edge or weight line of the loop costs one
-    `int()` a token.
+    again.
     """
     cls = _TWO_SIDED[kind][0]
     n1, n2, m, t = _parse_header(header, header_line, kind, 4)
     n_total = n1 + n2
-    plain = text.isascii()
     weights: dict[int, Weight] = {}
     rows: defaultdict[int, list[int] | tuple[int, ...]] = defaultdict(list)
     pos, line_no = body, header_line
-    if plain and _CANONICAL_LINE.fullmatch(text, text.rfind("\n", 0, -1) + 1):
+    if _CANONICAL_LINE.fullmatch(text, text.rfind("\n", 0, -1) + 1):
         pos, line_no = _read_canonical(text, pos, line_no, n1, n_total, weights, rows)
     if pos < len(text):
-        listed = _read_lines(text[pos:].split("\n"), line_no, plain, kind, n1, n_total,
-                             weights, rows)
+        listed = _read_lines(text[pos:].split("\n"), line_no, kind, n1, n_total, weights, rows)
     else:
         listed = sum(map(len, rows.values()))
     if listed != m:

@@ -59,6 +59,10 @@ def test_parse_empty_graph():
         ("p bip 1 1 1 3\nn 1 1.5\ne 1 2", "line 2"),
         ("p bip 1 1 1 3\nn 1 2\nn 1 3\ne 1 2", "line 3"),
         ("p bip 1 1 1 3\nq 1 2", "line 2"),
+        ("p bip 1 1 1 3\ne 1 2 3", "line 2: edge line needs 'e <u> <v>'"),
+        ("p bip 1 1 1 3\ne 1", "line 2: edge line needs 'e <u> <v>'"),
+        ("p bip 1 1 1 3\nn 1\ne 1 2", "line 2: weight line needs 'n <id> <weight>'"),
+        ("p bip 1 1 1 3\nn 1 2 3\ne 1 2", "line 2: weight line needs 'n <id> <weight>'"),
         ("p bip 1 1 2 3\ne 1 2", "declares 2 edges"),
         ("p bogus 1 1 1 3", "line 1"),
         ("p bip 1 1 1 2\ne 1 2", "line 1"),
@@ -95,7 +99,7 @@ def test_parse_weights_and_fractions():
      pytest.param("1/" + "3" * 400, Fraction(1, int("3" * 400)), id="1/400-digits")],
 )
 def test_a_parsed_weight_is_an_int_exactly_when_integral(token, stored):
-    # plain ASCII text takes the one-int() path for 'k'; a non-ASCII comment does not
+    # neither text ends in "\n", so the line loop reads both; the second has a non-ASCII comment
     for text in (f"p bip 1 1 1 3\nn 1 {token}\ne 1 2",
                  f"# \u00e9\np split 1 1 1 3\nn 1 {token}\ne 1 2"):
         g = parse_auto(text)
@@ -247,7 +251,7 @@ LONG = "9" * 5000  # more digits than int() converts by default (4,300)
                      id="second-endpoint"),
         pytest.param(f"p bip 1 1 1 3\ne {LONG} 2", "line 2: edge endpoint has too many digits",
                      id="first-endpoint"),
-        # a non-ASCII comment sends every token through int_field
+        # a non-ASCII comment ahead of the header leaves the message as it is
         pytest.param(f"# \u00e9\np split 1 1 1 3\ne 1 {LONG}",
                      "line 3: edge endpoint has too many digits", id="endpoint-not-ascii-text"),
         pytest.param(f"p bip {LONG} 1 1 3\ne 1 2", "line 1: header field has too many digits",
@@ -424,6 +428,17 @@ def _base_texts():
     for family in ("bip-random", "split-random"):
         g = generate(GenSpec(family, 3, 7, FAMILY_SIZES[family], ("uniform", 0, 9)))
         yield g, SERIALIZERS[type(g)](g)
+
+
+def test_a_non_ascii_comment_leaves_the_body_to_the_bulk_reader():
+    for g, text in _base_texts():
+        text = "# \u00e9\n" + text
+        assert g.weights
+        loop = _assert_parsed_like_the_loop(text)
+        assert loop[0] == g
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "_read_lines", None)  # the bulk reader takes every line
+            assert _outcome(text) == loop
 
 
 def _mutations(g, text):
