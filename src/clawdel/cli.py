@@ -60,7 +60,6 @@ REDUCTIONS = {
 }
 BENCH_FIELDS = ("instance", "algorithm", "t", "cost", "lower_bound", "opt", "ratio", "theta",
                 "time_ms")
-EXIT_CODES = {ParseError: 2, OracleLimitError: 3, ShadowMismatchError: 1}
 
 _SERIALIZERS = {
     BipartiteGraph: serialize_bipartite,
@@ -70,23 +69,24 @@ _SERIALIZERS = {
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """A bad command line or input file, worded for the user."""
+
+
+EXIT_CODES = {_CliError: 2, ParseError: 2, OracleLimitError: 3, ShadowMismatchError: 1}
 
 
 def _load(path: str) -> BipartiteGraph | SplitGraph | Hypergraph:
     try:
         text = Path(path).read_bytes()
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}", 2) from exc
+        raise _CliError(f"cannot read {path}: {exc}") from exc
     return parse_auto(text)
 
 
 def _load_deletion_instance(path: str) -> BipartiteGraph | SplitGraph:
     g = _load(path)
     if isinstance(g, Hypergraph):
-        raise _CliError(f"{path} is a hypergraph; deletion needs 'p bip' or 'p split'", 2)
+        raise _CliError(f"{path} is a hypergraph; deletion needs 'p bip' or 'p split'")
     return g
 
 
@@ -183,7 +183,7 @@ def _write_trace(path: str, trace, vertices: range) -> None:
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = _load_deletion_instance(args.input)
     if args.trace and args.alg != "primal-dual":
-        raise _CliError("--trace is only available for --alg primal-dual", 2)
+        raise _CliError("--trace is only available for --alg primal-dual")
 
     report, trace = solve(g, args.alg)
     if args.trace:
@@ -196,11 +196,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     g = _load(args.input)
     source, least_t, requirement, construct = REDUCTIONS[args.kind]
     if not isinstance(g, source) or g.t < least_t:
-        raise _CliError(f"{args.kind} needs {requirement}", 2)
+        raise _CliError(f"{args.kind} needs {requirement}")
     try:
         out, rmap = construct(g)
     except ValueError as exc:
-        raise _CliError(str(exc), 2) from exc
+        raise _CliError(str(exc)) from exc
 
     for warning in rmap.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -215,7 +215,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     for key in FAMILIES[args.family][0]:
         value = getattr(args, key)
         if value is None:
-            raise _CliError(f"family {args.family} needs --{key}", 2)
+            raise _CliError(f"family {args.family} needs --{key}")
         sizes[key] = value
     if args.weights == "unit":
         mode: tuple = ("unit",)
@@ -224,12 +224,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             lo, hi = (int_field(part, "weight", None) for part in args.weights.split(":"))
             mode = ("uniform", lo, hi)
         except ValueError:
-            raise _CliError("--weights must be 'unit' or 'LO:HI'", 2) from None
+            raise _CliError("--weights must be 'unit' or 'LO:HI'") from None
     try:
         spec = GenSpec(args.family, args.t, args.seed, sizes, mode)
         graph = generate(spec)
     except ValueError as exc:
-        raise _CliError(str(exc), 2) from exc
+        raise _CliError(str(exc)) from exc
     text = _SERIALIZERS[type(graph)](graph, comments=[provenance(spec)])
     Path(args.output).write_text(text, encoding="utf-8")
     return 0
@@ -241,13 +241,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         tokens = Path(args.solution).read_text(encoding="utf-8").split()
         solution = sorted({int_field(tok, "vertex id", None) for tok in tokens})
     except OSError as exc:
-        raise _CliError(f"cannot read {args.solution}: {exc}", 2) from exc
+        raise _CliError(f"cannot read {args.solution}: {exc}") from exc
     except ValueError:
-        raise _CliError("solution file must hold whitespace-separated vertex ids", 2) from None
+        raise _CliError("solution file must hold whitespace-separated vertex ids") from None
     vertices = g.vertices
     bad = [v for v in solution if v not in vertices]
     if bad:
-        raise _CliError(f"solution ids {bad} out of range", 2)
+        raise _CliError(f"solution ids {bad} out of range")
 
     feasible = is_feasible(g, solution)
     minimal = is_minimal(g, solution) if feasible else False
@@ -292,10 +292,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     algs = [a.strip() for a in args.algs.split(",") if a.strip()]
     unknown = [a for a in algs if a not in ALGORITHMS]
     if unknown:
-        raise _CliError(f"unknown algorithms {unknown}; choose from {list(ALGORITHMS)}", 2)
+        raise _CliError(f"unknown algorithms {unknown}; choose from {list(ALGORITHMS)}")
     suite = Path(args.suite)
     if not suite.is_dir():
-        raise _CliError(f"{args.suite} is not a directory", 2)
+        raise _CliError(f"{args.suite} is not a directory")
 
     paths = sorted(
         p for p in suite.iterdir() if p.suffix in (".bip", ".split", ".hyp") and p.is_file()
@@ -388,10 +388,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_CliError, *EXIT_CODES) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, _CliError):
-            return exc.code
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 

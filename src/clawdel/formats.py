@@ -29,10 +29,10 @@ A 'p bip' or 'p split' body in the canonical form that serialization and
 `gen` write is read in bulk, a chunk of up to 4,096 lines at a time: one
 regex match checks the chunk's form, and one `str.split`, one `int()` a
 token and a few passes over the chunk's columns check its ranges and
-its order. The text must end in a canonical line. The first chunk that
-fails a check, and everything after it, goes to the line loop, which
-reads any text and words every error, so a text parses to the same
-graph, or fails with the same message, either way.
+its order. The first chunk that fails a check, and everything after
+it, goes to the line loop, which reads any text and words every error,
+so a text parses to the same graph, or fails with the same message,
+either way.
 The bulk reader holds one chunk's tokens at a time, never a list of the
 text's lines or a set of its edges.
 
@@ -161,7 +161,6 @@ _TWO_SIDED = {
 _CHUNK = 4096
 _WEIGHT_RUN = re.compile(r"(?:n [0-9]+ [0-9]+\n){1,%d}" % _CHUNK)
 _EDGE_RUN = re.compile(r"(?:e [0-9]+ [0-9]+\n){1,%d}" % _CHUNK)
-_CANONICAL_LINE = re.compile(r"[ne] [0-9]+ [0-9]+\n")
 
 
 def _columns(run: re.Match) -> list[tuple[int, ...]] | None:
@@ -245,14 +244,14 @@ def _read_canonical(text: str, pos: int, line_no: int, n1: int, n_total: int,
 
 def _read_lines(lines: list[str], line_no: int, kind: str, n1: int, n_total: int,
                 weights: dict[int, Weight],
-                rows: defaultdict[int, list[int] | tuple[int, ...]]) -> int:
+                rows: defaultdict[int, list[int] | tuple[int, ...]]) -> None:
     """Check each of `lines`, the first being line `line_no` + 1, once, in file order.
 
     Every id and endpoint goes through `int_field`, every weight through
     `_parse_weight`. Each edge goes into the row of its first endpoint,
     each weight into `weights`, on top of what the bulk reader put
     there; a tuple row of the bulk reader becomes a list the first time
-    an edge is added to it. Returns the number of edges in `rows`.
+    an edge is added to it.
     """
     _, first_side, second_side = _TWO_SIDED[kind]
     base = n_total + 1
@@ -289,7 +288,6 @@ def _read_lines(lines: list[str], line_no: int, kind: str, n1: int, n_total: int
             weights[v] = _parse_weight(tokens[2], line_no)
         else:
             raise ParseError(f"unknown line kind {tag!r}", line_no)
-    return len(edges)
 
 
 def _parse_two_sided(
@@ -297,28 +295,25 @@ def _parse_two_sided(
 ) -> BipartiteGraph | SplitGraph:
     """One strict pass over the text after the header, which is on `header_line`.
 
-    When the text's last line is a canonical 'n' or 'e' line,
     `_read_canonical` first takes the canonical chunks of the body in
-    bulk. The line loop `_read_lines` reads the rest, from the first
-    line the bulk reader left, with the same state, so no line is read
-    twice. Each line is checked once, in file order, so the first bad
-    line is the one reported; a count mismatch comes after every line,
-    and a claw parameter below 3 last. `_finish_adjacency` builds the
-    graph from the rows of first endpoints without validating them
-    again.
+    bulk, up to the first chunk that fails a check. The line loop
+    `_read_lines` reads the rest, from the first line the bulk reader
+    left, with the same state, so no line is read twice. Each line is
+    checked once, in file order, so the first bad line is the one
+    reported; the edge count, taken from the rows, is checked after
+    every line, and a claw parameter below 3 last. `_finish_adjacency`
+    builds the graph from the rows of first endpoints without validating
+    them again.
     """
     cls = _TWO_SIDED[kind][0]
     n1, n2, m, t = _parse_header(header, header_line, kind, 4)
     n_total = n1 + n2
     weights: dict[int, Weight] = {}
     rows: defaultdict[int, list[int] | tuple[int, ...]] = defaultdict(list)
-    pos, line_no = body, header_line
-    if _CANONICAL_LINE.fullmatch(text, text.rfind("\n", 0, -1) + 1):
-        pos, line_no = _read_canonical(text, pos, line_no, n1, n_total, weights, rows)
+    pos, line_no = _read_canonical(text, body, header_line, n1, n_total, weights, rows)
     if pos < len(text):
-        listed = _read_lines(text[pos:].split("\n"), line_no, kind, n1, n_total, weights, rows)
-    else:
-        listed = sum(map(len, rows.values()))
+        _read_lines(text[pos:].split("\n"), line_no, kind, n1, n_total, weights, rows)
+    listed = sum(map(len, rows.values()))
     if listed != m:
         raise ParseError(f"header declares {m} edges but {listed} were listed")
     try:

@@ -9,10 +9,11 @@ RETRY_CAP times before giving up.
 `FAMILIES` is the one table of families: each maps to its size keys,
 in the order the `gen` command takes them, and to its builder.
 `bip-random` and `split-random` share one sampler, `_two_sided_random`,
-which draws m of the n1*n2 cross pairs of either graph class. The
-two-sided families hand their rows to `graphs._finish_adjacency` and
-build through `_from_checked`: the sampler draws only in-range, distinct
-pairs, so no edge is checked again; only t is.
+which draws m of the n1*n2 cross pairs of either graph class. Every
+family builds through `_from_checked`: the two-sided ones hand their
+rows to `graphs._finish_adjacency`, and each sampler draws only
+in-range, distinct, sorted edges, so no edge is checked again; only t
+is.
 """
 
 from __future__ import annotations
@@ -127,22 +128,24 @@ def _hyp_uniform(rng: random.Random, spec: GenSpec, n: int, m: int) -> Hypergrap
             "disjoint-counterpart property needs n >= 2t and m >= 2 "
             f"(got n={n}, m={m}, t={t})"
         )
+    if t < 2:
+        raise ValueError(f"uniformity must be >= 2, got {t}")
     population = list(range(1, n + 1))
     for _ in range(RETRY_CAP):
-        seen: set[frozenset[int]] = set()
+        seen: set[tuple[int, ...]] = set()
         hyperedges: list[tuple[int, ...]] = []
         attempts = 0
         while len(hyperedges) < m and attempts < RETRY_CAP:
             attempts += 1
             e = tuple(sorted(rng.sample(population, t)))
-            if frozenset(e) in seen:
+            if e in seen:
                 continue
-            seen.add(frozenset(e))
+            seen.add(e)
             hyperedges.append(e)
         if len(hyperedges) < m:
             continue
         if next(_without_disjoint_partner(hyperedges), None) is None:
-            return Hypergraph(n, t, tuple(hyperedges))
+            return Hypergraph._from_checked(n, t, tuple(hyperedges))
     raise ValueError("retry budget exhausted while sampling a uniform hypergraph")
 
 
@@ -158,7 +161,7 @@ def _regular_graph(rng: random.Random, spec: GenSpec, n: int) -> Hypergraph:
         pairs = list(zip(stubs[::2], stubs[1::2]))
         edges = {tuple(sorted(p)) for p in pairs}
         if len(edges) == len(pairs) and all(u != v for u, v in pairs):
-            return Hypergraph(n, 2, tuple(sorted(edges)))
+            return Hypergraph._from_checked(n, 2, tuple(sorted(edges)))
     raise ValueError("retry budget exhausted while pairing a regular graph")
 
 

@@ -31,7 +31,7 @@ construction validates; an id that is not an `int`, such as 2.5 or
 "2", is refused rather than converted, in an edge and as a weight key
 alike. A two-sided edge is checked and put in its first-side row in
 one loop, where a repeated pair is merged, a hyperedge by
-`_check_hyperedge`. The parser, the two-sided generators, `to_split`,
+`_check_hyperedge`. The parser, the generators, `to_split`,
 `cross_edge_shadow` and the cover constructions build through the
 internal `_from_checked` constructors from parts already checked: as
 the text is read, as the sampler draws them, or when the source graph

@@ -208,10 +208,10 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
     the difference is at least that float, so the step `nextafter` takes
     is at least the float's own step, and half of it covers the
     rounding of the difference, the other half that of 2 * raised. The
-    fall appends the raise index to `marks[v]` and marks the vertex's
-    heap key stale. It does no exact arithmetic. Coefficients only
-    fall, so levels only rise and a stale key never overstates its
-    vertex's level.
+    fall appends the raise index to `marks[v]` and does no exact
+    arithmetic. A vertex with marks has a stale key: marks are folded
+    only as an exact key is made. Coefficients only fall, so levels
+    only rise and a stale key never overstates its vertex's level.
 
     The heap holds one key per vertex: a lower bound `(lb, 0, id)` from
     `_floor_level`, or an exact `_key` `(prefix, 1, level, id)`. Each is
@@ -220,7 +220,8 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
 
     - a stale key whose coefficient is 0 is dropped;
     - a stale key whose new float bound rose above it is pushed back
-      down with `heapreplace` as a lower bound, with no exact work;
+      down with `heapreplace` as a lower bound, with no exact work, and
+      keeps its marks;
     - any other lower bound, or a stale exact key, gets its exact level:
       the offset is folded from the vertex's marks (`_fold`). The key
       is pushed back down unless it is still at most both children;
@@ -241,21 +242,18 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
     marks = defaultdict(list)  # raise indices of the falls not yet in `offset`
     offset: dict[int, tuple[int, int]] = {}  # numerator, denominator; absent is 0
     twice: list[tuple[int, int]] = []  # 2 * raised after each raise
-    stale = bytearray(len(coeff))
     after, ninf, low_get = nextafter, -inf, low.get  # for the fall loop
     heap = [(_floor_level(weight(v), 0.0, coeff[v]), 0, v) for v in g.touched if coeff[v]]
     heapq.heapify(heap)
     raised = dual_lb = Fraction(0)
-    selected: list[int] = []
     trace: list[TraceStep] = []
 
     while state.centres:
         key = heap[0]
         tight = key[-1]
-        if stale[tight] or not key[1]:
+        if tight in marks or not key[1]:
             c = coeff[tight]
-            if stale[tight]:
-                stale[tight] = 0
+            if tight in marks:
                 if not c:
                     heappop(heap)
                     continue
@@ -287,7 +285,6 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
             up = inf
         dual_lb += eps * rank
         trace.append(TraceStep(amount=eps, selected=tight))
-        selected.append(tight)
 
         # A centre that loses an edge loses 2; one that leaves S or falls to
         # degree t - 1 also takes 2 from each alive B-neighbour.
@@ -303,11 +300,10 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
             fallen += [b for b in adj[a] if alive[b]]
         for v in fallen:
             coeff[v] -= 2
-            stale[v] = 1
             low[v] = after(low_get(v, 0.0) - up, ninf)
             marks[v].append(k)
 
-    return _finish(state, selected, dual_lb, "primal-dual", len(trace)), trace
+    return _finish(state, [s.selected for s in trace], dual_lb, "primal-dual", len(trace)), trace
 
 
 def local_ratio_solve(g: BipartiteGraph) -> SolveReport:

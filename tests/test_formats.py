@@ -99,21 +99,22 @@ def test_parse_weights_and_fractions():
      pytest.param("1/" + "3" * 400, Fraction(1, int("3" * 400)), id="1/400-digits")],
 )
 def test_a_parsed_weight_is_an_int_exactly_when_integral(token, stored):
-    # neither text ends in "\n", so the line loop reads both; the second has a non-ASCII comment
+    # a plain-digit weight line is read in bulk, so each text is also read by the line loop
+    # alone; the second has a non-ASCII comment
     for text in (f"p bip 1 1 1 3\nn 1 {token}\ne 1 2",
                  f"# \u00e9\np split 1 1 1 3\nn 1 {token}\ne 1 2"):
-        g = parse_auto(text)
-        assert g.weights == {1: stored}
-        assert type(g.weights[1]) is type(stored)
-        assert g == type(g)(1, 1, [(1, 2)], 3, {1: stored})
+        for g in _parsed_both_ways(text):
+            assert g.weights == {1: stored}
+            assert type(g.weights[1]) is type(stored)
+            assert g == type(g)(1, 1, [(1, 2)], 3, {1: stored})
 
 
 @pytest.mark.parametrize("token", ["1", "01", "3/3", "1/1"])
 def test_a_parsed_unit_weight_is_not_stored(token):
     for text in (f"p bip 1 1 1 3\nn 1 {token}\nn 2 2\ne 1 2",
                  f"# \u00e9\np bip 1 1 1 3\nn 1 {token}\nn 2 2\ne 1 2"):
-        g = parse_auto(text)
-        assert g.weights == {2: 2} and type(g.weights[2]) is int
+        for g in _parsed_both_ways(text):
+            assert g.weights == {2: 2} and type(g.weights[2]) is int
 
 
 def test_parse_split(h2):
@@ -385,10 +386,22 @@ def test_serialization_equals_the_per_edge_text():
         assert parse_auto(text) == g
 
 
-def _read_by_the_loop(text):
-    """`text` with a comment line after it, which the bulk reader never takes, so
-    the line loop reads every line; the line numbers stay as they were."""
+def _with_a_last_comment(text):
+    """`text` with a comment line after it; the line numbers stay as they were."""
     return text + ("" if text.endswith("\n") else "\n") + "# end\n"
+
+
+def _loop_only(mp):
+    """Patch the bulk reader out, so that the line loop reads every line."""
+    mp.setattr(formats, "_read_canonical", lambda text, pos, line_no, *rest: (pos, line_no))
+
+
+def _parsed_both_ways(text):
+    """`text` parsed as it is, then by the line loop alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        _loop_only(mp)
+        loop = parse_auto(text)
+    return parse_auto(text), loop
 
 
 def _outcome(text):
@@ -405,8 +418,8 @@ def _outcome(text):
 def _assert_parsed_like_the_loop(text):
     """`text` parses to what the line loop alone makes of it, or fails with its message."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(formats, "_read_canonical", None)  # a call would raise TypeError
-        loop = _outcome(_read_by_the_loop(text))
+        _loop_only(mp)
+        loop = _outcome(_with_a_last_comment(text))
     assert _outcome(text) == loop
     return loop
 
@@ -519,6 +532,16 @@ def _spy_on_the_loop(mp):
     return starts
 
 
+def test_a_canonical_body_that_ends_otherwise_is_read_in_bulk_to_its_last_line():
+    for g, text in _base_texts():
+        assert g.weights
+        for changed in (text[:-1], text + "# end\n"):  # no final newline; a last comment
+            with pytest.MonkeyPatch.context() as mp:
+                starts = _spy_on_the_loop(mp)
+                assert parse_auto(changed) == g
+            assert starts == [changed.rstrip("\n").count("\n")]  # the last line alone
+
+
 def test_a_body_longer_than_one_chunk_goes_to_the_loop_from_its_first_bad_chunk():
     # more than one chunk of weight lines, then more than two of edge lines
     g = generate(GenSpec("bip-random", 3, 5, {"na": 2000, "nb": 3000, "m": 2 * _CHUNK + 300},
@@ -531,7 +554,9 @@ def test_a_body_longer_than_one_chunk_goes_to_the_loop_from_its_first_bad_chunk(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formats, "_read_lines", None)  # the bulk reader takes every line
         bulk = _outcome(text)
-    assert bulk == _outcome(_read_by_the_loop(text)) and bulk[0] == g
+    with pytest.MonkeyPatch.context() as mp:
+        _loop_only(mp)
+        assert bulk == _outcome(_with_a_last_comment(text)) and bulk[0] == g
     # a row goes on across each chunk boundary
     for at in (e0 + _CHUNK, e0 + 2 * _CHUNK):
         assert lines[at - 1].split()[1] == lines[at].split()[1]
@@ -596,7 +621,9 @@ def test_a_canonical_body_is_read_a_chunk_at_a_time():
                          ("uniform", 1, 9)))
     text = serialize_bipartite(g)
     bulk, bulk_overhead = _parse_overhead(text)
-    loop, loop_overhead = _parse_overhead(_read_by_the_loop(text))
+    with pytest.MonkeyPatch.context() as mp:
+        _loop_only(mp)
+        loop, loop_overhead = _parse_overhead(_with_a_last_comment(text))
     assert bulk == loop == g
     # The line loop holds every line and a set of every edge, about 5.7 MB here; the
     # bulk reader holds one chunk's tokens, about 1.1 MB. Reading all 34,000 lines as
