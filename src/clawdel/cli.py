@@ -309,16 +309,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         # A successful exact row costs the optimum, so the oracle runs once. On a
         # split graph that row solves the shadow, and a split-feasible shadow
         # optimum is the split optimum, since every split-feasible set is
-        # shadow feasible.
+        # shadow feasible. On a bipartite graph a refused exact row is the
+        # oracle's own refusal of g, so the search is not run again.
         exact = _attempt(g, "exact") if "exact" in algs else None
-        if isinstance(exact, SolveReport):
-            opt = exact.cost
-        else:
+        opt = exact.cost if isinstance(exact, SolveReport) else None
+        if opt is None and not (isinstance(exact, OracleLimitError)
+                                and isinstance(g, BipartiteGraph)):
             try:
                 _, opt = exact_min_deletion_set(g)
             except OracleLimitError:
-                opt = None
-                print(f"warning: {path.name}: oracle skipped (size guard)", file=sys.stderr)
+                pass
+        if opt is None:
+            print(f"warning: {path.name}: oracle skipped (size guard)", file=sys.stderr)
         rows.extend(_bench_row(path.name, alg, g, exact if alg == "exact" else _attempt(g, alg),
                                opt) for alg in algs)
 

@@ -26,13 +26,13 @@ from those parts without being validated a second time. A token with
 more digits than int() converts (4,300 by default) is a bad token too.
 
 A 'p bip' or 'p split' body in the canonical form that serialization and
-`gen` write is read in bulk, a chunk of up to 4,096 lines at a time: one
-regex match checks the chunk's form, and one `str.split`, one `int()` a
-token and a few passes over the chunk's columns check its ranges and
-its order. The first chunk that fails a check, and everything after
-it, goes to the line loop, which reads any text and words every error,
-so a text parses to the same graph, or fails with the same message,
-either way.
+`gen` write is read in bulk, a chunk of up to 4,096 lines at a time, as
+far as its weights are integral: one regex match checks the chunk's
+form, and one `str.split`, one `int()` a token and a few passes over the
+chunk's columns check its ranges and its order. The first chunk that
+fails a check, or the first 'p/q' weight, and everything after it, goes
+to the line loop, which reads any text and words every error, so a text
+parses to the same graph, or fails with the same message, either way.
 The bulk reader holds one chunk's tokens at a time, never a list of the
 text's lines or a set of its edges.
 
@@ -187,25 +187,26 @@ def _pair_runs(us: tuple[int, ...], vs: tuple[int, ...]
 
 
 def _read_canonical(text: str, pos: int, line_no: int, n1: int, n_total: int,
-                    weights: dict[int, Weight], rows: defaultdict[int, list[int] | tuple[int, ...]]
+                    weights: dict[int, Weight], rows: defaultdict[int, set[int] | tuple[int, ...]]
                     ) -> tuple[int, int]:
     """Read the canonical body from offset `pos`, after line `line_no`, a chunk at a time.
 
-    The canonical body is what `serialize_*` and `gen` write: 'n <id>
-    <k>' lines with ids ascending, then 'e <u> <v>' lines with (u, v)
-    ascending, all plain digits and single spaces, each ending in
-    "\\n". One regex match both checks a chunk of such lines and finds
-    where it ends. The chunk is then read with one `str.split` and one
-    `int()` a token, range-checked by its first and last id (weights) or
-    by min and max (endpoints), and checked strictly ascending, which
-    also rules out duplicates; edges are compared as u * (n_total + 1)
-    + v. A chunk that passes goes into `weights` and `rows`, as the line
-    loop would have put it, each row as a checked-ascending tuple that
-    `_finish_adjacency` stores as it is. A row that goes on from the
-    chunk before becomes a list once and grows in place, so it costs
-    its length. Returns the offset and line number of the last line
-    taken; the first chunk that fails a check, and everything after
-    it, is left to the line loop, which words every error.
+    The canonical body is what `serialize_*` and `gen` write with
+    integral weights: 'n <id> <k>' lines with ids ascending, then 'e <u>
+    <v>' lines with (u, v) ascending, all plain digits and single
+    spaces, each ending in "\\n"; a 'p/q' weight and all after it are
+    left to the line loop. One regex match both checks a chunk of such
+    lines and finds where it ends. The chunk is then read with one
+    `str.split` and one `int()` a token, range-checked by its first and
+    last id (weights) or by min and max (endpoints), and checked
+    strictly ascending, which also rules out duplicates; edges are
+    compared as u * (n_total + 1) + v. A chunk that passes goes into
+    `weights` and `rows`, as the line loop would have put it, each row
+    as a checked-ascending tuple that `_finish_adjacency` stores as it
+    is. A row that goes on from the chunk before becomes a set once and
+    grows in place, so it costs its length. Returns the offset and line
+    number of the last line taken; the first chunk that fails a check,
+    and everything after it, is left to the line loop.
     """
     last = 0
     while run := _WEIGHT_RUN.match(text, pos):
@@ -229,35 +230,33 @@ def _read_canonical(text: str, pos: int, line_no: int, n1: int, n_total: int,
                 and last < keys[0] and _ascending(keys)):
             return pos, line_no
         runs = _pair_runs(us, vs)
-        u, row = next(runs)
-        before = rows.get(u)  # the row may go on from the chunk before
-        if before is None:
-            rows[u] = row
-        elif type(before) is tuple:
-            rows[u] = [*before, *row]
-        else:
-            before += row
+        if us[0] in rows:  # the row goes on from the chunk before
+            _growing(rows, us[0]).update(next(runs)[1])
         rows.update(runs)
         last, pos, line_no = keys[-1], run.end(), line_no + len(us)
     return pos, line_no
 
 
+def _growing(rows: defaultdict[int, set[int] | tuple[int, ...]], u: int) -> set[int]:
+    """The row of `u` as a set that can grow; a bulk reader's tuple row becomes one once."""
+    row = rows[u]
+    if type(row) is tuple:
+        row = rows[u] = set(row)
+    return row
+
+
 def _read_lines(lines: list[str], line_no: int, kind: str, n1: int, n_total: int,
                 weights: dict[int, Weight],
-                rows: defaultdict[int, list[int] | tuple[int, ...]]) -> None:
+                rows: defaultdict[int, set[int] | tuple[int, ...]]) -> None:
     """Check each of `lines`, the first being line `line_no` + 1, once, in file order.
 
     Every id and endpoint goes through `int_field`, every weight through
-    `_parse_weight`. Each edge goes into the row of its first endpoint,
-    each weight into `weights`, on top of what the bulk reader put
-    there; a tuple row of the bulk reader becomes a list the first time
-    an edge is added to it.
+    `_parse_weight`. Each edge is checked against, then put into, the
+    row of its first endpoint, and each weight into `weights`, on top of
+    what the bulk reader put there. A tuple row of the bulk reader
+    becomes a set the first time the loop touches it.
     """
     _, first_side, second_side = _TWO_SIDED[kind]
-    base = n_total + 1
-    # Each edge read, as one int u * (n_total + 1) + v: a set of pairs would hold a
-    # tuple per edge, each one more object for the cyclic garbage collector.
-    edges = {u * base + v for u, row in rows.items() for v in row}
     for line_no, tokens in _rows(lines, line_no):
         tag = tokens[0]
         if tag == "e":
@@ -269,14 +268,10 @@ def _read_lines(lines: list[str], line_no: int, kind: str, n1: int, n_total: int
                 raise ParseError(f"index {u} out of {first_side} range", line_no)
             if not n1 < v <= n_total:
                 raise ParseError(f"index {v} out of {second_side} range", line_no)
-            edge = u * base + v
-            if edge in edges:
+            row = _growing(rows, u)
+            if v in row:
                 raise ParseError(f"duplicate edge ({u}, {v})", line_no)
-            edges.add(edge)
-            try:
-                rows[u].append(v)
-            except AttributeError:  # a tuple row of the bulk reader
-                rows[u] = [*rows[u], v]
+            row.add(v)
         elif tag == "n":
             if len(tokens) != 3:
                 raise ParseError("weight line needs 'n <id> <weight>'", line_no)
@@ -309,7 +304,7 @@ def _parse_two_sided(
     n1, n2, m, t = _parse_header(header, header_line, kind, 4)
     n_total = n1 + n2
     weights: dict[int, Weight] = {}
-    rows: defaultdict[int, list[int] | tuple[int, ...]] = defaultdict(list)
+    rows: defaultdict[int, set[int] | tuple[int, ...]] = defaultdict(set)
     pos, line_no = _read_canonical(text, body, header_line, n1, n_total, weights, rows)
     if pos < len(text):
         _read_lines(text[pos:].split("\n"), line_no, kind, n1, n_total, weights, rows)

@@ -82,11 +82,12 @@ def _finish_adjacency(
     `runs` holds `(lo, hi, row)` triples: the consecutive first-side ids
     lo..hi-1 all have the second-side neighbours `row`, and at least one
     of them. A tuple row is ascending by contract and is stored as it
-    is; any other row, in any order, is sorted into one tuple. All ids
-    of a run share their row, and a tuple handed for many one-id runs,
-    as `vc-dense` hands each edge's row once per block, is stored once.
-    The runs are ascending and disjoint; a builder that has one row per
-    id passes one-id runs (hi = lo + 1). This is the one place a
+    is; any other row, in any order, such as a set row of public
+    construction or of the parser's line loop, is sorted into one tuple.
+    All ids of a run share their row, and a tuple handed for many one-id
+    runs, as `vc-dense` hands each edge's row once per block, is stored
+    once. The runs are ascending and disjoint; a builder that has one
+    row per id passes one-id runs (hi = lo + 1). This is the one place a
     second-side list is made. Walking the runs in order puts each
     first-side id in its neighbours' lists, so they come out sorted
     without a sort. A longer run extends each neighbour's list from one

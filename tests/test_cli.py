@@ -433,7 +433,8 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert all(r["ratio"] == "1" for r in exact_rows)
 
 
-def test_bench_runs_the_oracle_once_per_instance(tmp_path, capsys, monkeypatch):
+def _count_oracle_calls(monkeypatch):
+    """The graphs every oracle search from here on is run on, in order."""
     calls = []
     oracle_fn = oracle.exact_min_deletion_set
 
@@ -443,6 +444,12 @@ def test_bench_runs_the_oracle_once_per_instance(tmp_path, capsys, monkeypatch):
 
     for site in (oracle, cli):
         monkeypatch.setattr(site, "exact_min_deletion_set", counting)
+    return calls
+
+
+def test_bench_runs_the_oracle_once_per_instance(tmp_path, capsys, monkeypatch):
+    oracle_fn = oracle.exact_min_deletion_set
+    calls = _count_oracle_calls(monkeypatch)
     assert main(["gen", "--family", "bip-random", "--seed", "5", "--t", "3", "--na", "5",
                  "--nb", "9", "--m", "25", "--weights", "1:9",
                  "--output", str(tmp_path / "i.bip")]) == 0
@@ -457,6 +464,27 @@ def test_bench_runs_the_oracle_once_per_instance(tmp_path, capsys, monkeypatch):
         _, opt = oracle_fn(calls[0])
         assert opt > 0 and {r["opt"] for r in rows} == {str(opt)}
     assert capsys.readouterr().err == ""
+
+
+def test_bench_runs_the_oracle_once_when_it_refuses(tmp_path, capsys, monkeypatch):
+    # Thirteen disjoint 3-stars are past the oracle's depth guard. The exact row
+    # is the oracle's own search of this bipartite graph, so its refusal stands
+    # for the optimum's too.
+    calls = _count_oracle_calls(monkeypatch)
+    (tmp_path / "stars.bip").write_text("p bip 13 39 39 3\n" + "".join(
+        f"e {k + 1} {14 + 3 * k + i}\n" for k in range(13) for i in range(3)))
+    csv_path = tmp_path / "report.csv"
+    for algs in ("exact,primal-dual", "primal-dual"):
+        calls.clear()
+        assert main(["bench", "--suite", str(tmp_path), "--algs", algs,
+                     "--csv", str(csv_path)]) == 0
+        assert len(calls) == 1
+        with open(csv_path, newline="") as handle:
+            assert {r["opt"] for r in csv.DictReader(handle)} == {""}
+    assert capsys.readouterr().err == (
+        "warning: stars.bip: oracle skipped (size guard)\n"
+        "warning: stars.bip [exact]: too large for oracle: search depth bound 12 exceeded\n"
+        "warning: stars.bip: oracle skipped (size guard)\n")
 
 
 def test_bench_takes_a_split_optimum_from_the_exact_row(tmp_path, capsys):

@@ -625,7 +625,22 @@ def test_a_canonical_body_is_read_a_chunk_at_a_time():
         _loop_only(mp)
         loop, loop_overhead = _parse_overhead(_with_a_last_comment(text))
     assert bulk == loop == g
-    # The line loop holds every line and a set of every edge, about 5.7 MB here; the
-    # bulk reader holds one chunk's tokens, about 1.1 MB. Reading all 34,000 lines as
-    # one chunk took it to 5.1 MB.
+    # The line loop holds every line and grows every row as a set, about 4.0 MB
+    # here; the bulk reader holds one chunk's tokens, about 0.8 MB. Reading all
+    # 34,000 lines as one chunk took it to 5.1 MB.
     assert bulk_overhead < loop_overhead / 3
+
+
+def test_the_line_loop_holds_no_copy_of_the_bulk_read_edges():
+    # Text after the last canonical line sends only that tail to the line loop,
+    # which checks an edge against its own row: it copies no row it does not
+    # touch. A set of every bulk-read edge took each of these to about 3 MB,
+    # against about 0.8 MB for the text itself.
+    g = generate(GenSpec("bip-random", 3, 5, {"na": 2000, "nb": 3000, "m": 30_000},
+                         ("uniform", 1, 9)))
+    text = serialize_bipartite(g)
+    _, overhead = _parse_overhead(text)
+    for tail in (text + "# end\n", text[:-1]):
+        parsed, tail_overhead = _parse_overhead(tail)
+        assert parsed == g
+        assert tail_overhead < 2 * overhead
