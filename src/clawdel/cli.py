@@ -6,9 +6,9 @@
     clawdel verify --input g.bip --solution sol.txt
     clawdel bench  --suite dir/ --algs primal-dual,exact --csv out.csv
 
-Exit codes: 0 success, 1 internal invariant violation, 2 parse or
-precondition failure, 3 oracle size guard, 4 infeasible solution in
-verify. Solve input format is sniffed from the `p bip` / `p split`
+Exit codes: 0 success, 1 internal invariant violation, 2 parse,
+precondition or file error, 3 oracle size guard, 4 infeasible solution
+in verify. Solve input format is sniffed from the `p bip` / `p split`
 header. `solve` and `bench` run every algorithm through
 `solvers.solve`. `--json` emits one object with keys solution, cost,
 lower_bound, theta, algorithm, iterations, time_ms; rationals are
@@ -72,15 +72,12 @@ class _CliError(Exception):
     """A bad command line or input file, worded for the user."""
 
 
-EXIT_CODES = {_CliError: 2, ParseError: 2, OracleLimitError: 3, ShadowMismatchError: 1}
+EXIT_CODES = {_CliError: 2, ParseError: 2, OSError: 2, OracleLimitError: 3,
+              ShadowMismatchError: 1}
 
 
 def _load(path: str) -> BipartiteGraph | SplitGraph | Hypergraph:
-    try:
-        text = Path(path).read_bytes()
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}") from exc
-    return parse_auto(text)
+    return parse_auto(Path(path).read_bytes())
 
 
 def _load_deletion_instance(path: str) -> BipartiteGraph | SplitGraph:
@@ -240,8 +237,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         tokens = Path(args.solution).read_text(encoding="utf-8").split()
         solution = sorted({int_field(tok, "vertex id", None) for tok in tokens})
-    except OSError as exc:
-        raise _CliError(f"cannot read {args.solution}: {exc}") from exc
     except ValueError:
         raise _CliError("solution file must hold whitespace-separated vertex ids") from None
     vertices = g.vertices
@@ -293,13 +288,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     unknown = [a for a in algs if a not in ALGORITHMS]
     if unknown:
         raise _CliError(f"unknown algorithms {unknown}; choose from {list(ALGORITHMS)}")
-    suite = Path(args.suite)
-    if not suite.is_dir():
-        raise _CliError(f"{args.suite} is not a directory")
-
-    paths = sorted(
-        p for p in suite.iterdir() if p.suffix in (".bip", ".split", ".hyp") and p.is_file()
-    )
+    paths = sorted(p for p in Path(args.suite).iterdir()
+                   if p.suffix in (".bip", ".split", ".hyp") and p.is_file())
     rows = []
     for path in paths:
         if path.suffix == ".hyp":

@@ -54,7 +54,7 @@ from operator import add, lt, mul, ne
 from typing import Iterator
 
 from .graphs import (BipartiteGraph, Hypergraph, SplitGraph, Weight, _check_hyperedge,
-                     _finish_adjacency, _one_id_runs, check_claw_parameter)
+                     _one_id_runs)
 
 _WEIGHT_RE = re.compile(r"^[0-9]+(/[1-9][0-9]*)?$")
 
@@ -296,9 +296,9 @@ def _parse_two_sided(
     left, with the same state, so no line is read twice. Each line is
     checked once, in file order, so the first bad line is the one
     reported; the edge count, taken from the rows, is checked after
-    every line, and a claw parameter below 3 last. `_finish_adjacency`
-    builds the graph from the rows of first endpoints without validating
-    them again.
+    every line, and a claw parameter below 3 last, by `_from_rows`,
+    which builds the graph from the rows of first endpoints without
+    validating them again.
     """
     cls = _TWO_SIDED[kind][0]
     n1, n2, m, t = _parse_header(header, header_line, kind, 4)
@@ -311,12 +311,11 @@ def _parse_two_sided(
     listed = sum(map(len, rows.values()))
     if listed != m:
         raise ParseError(f"header declares {m} edges but {listed} were listed")
-    try:
-        check_claw_parameter(t)
-    except ValueError as exc:
-        raise ParseError(str(exc), header_line) from exc
     weights = {v: w for v, w in weights.items() if w != 1}
-    return cls._from_checked(n1, n2, t, weights, *_finish_adjacency(n_total, _one_id_runs(rows)))
+    try:
+        return cls._from_rows(n1, n2, t, weights, _one_id_runs(rows))
+    except ValueError as exc:  # the claw parameter, checked last
+        raise ParseError(str(exc), header_line) from exc
 
 
 def _parse_hypergraph(

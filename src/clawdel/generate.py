@@ -9,11 +9,12 @@ RETRY_CAP times before giving up.
 `FAMILIES` is the one table of families: each maps to its size keys,
 in the order the `gen` command takes them, and to its builder.
 `bip-random` and `split-random` share one sampler, `_two_sided_random`,
-which draws m of the n1*n2 cross pairs of either graph class. Every
-family builds through `_from_checked`: the two-sided ones hand their
-rows to `graphs._finish_adjacency`, and each sampler draws only
-in-range, distinct, sorted edges, so no edge is checked again; only t
-is.
+which draws m of the n1*n2 cross pairs of either graph class. The
+two-sided families build through `_from_rows`, the others through
+`Hypergraph._from_checked`: each sampler draws only in-range, distinct,
+sorted edges, so no edge is checked again; only t is. A spec of more
+vertices than `formats.MAX_VERTICES`, whose file every command would
+refuse, is refused before anything is drawn.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from functools import partial
 from itertools import groupby
 from typing import Mapping
 
-from .graphs import (BipartiteGraph, Hypergraph, SplitGraph, _finish_adjacency,
-                     _without_disjoint_partner, check_claw_parameter)
+from .formats import MAX_VERTICES
+from .graphs import BipartiteGraph, Hypergraph, SplitGraph, _without_disjoint_partner
 
 RETRY_CAP = 10_000
 
@@ -99,13 +100,12 @@ def _two_sided_random(
     picks = rng.sample(range(n1 * n2), m)
     picks.sort()
     weights = _draw_weights(rng, spec, n1 + n2)
-    check_claw_parameter(spec.t)
     second = range(n1 + 1, n1 + n2 + 1)
     if n2 <= m:  # one int object per id, shared by all its edges
         second = list(second)
     runs = ((q + 1, q + 2, [second[i % n2] for i in row])
             for q, row in groupby(picks, lambda i: i // n2))
-    return cls._from_checked(n1, n2, spec.t, weights, *_finish_adjacency(n1 + n2, runs))
+    return cls._from_rows(n1, n2, spec.t, weights, runs)
 
 
 def _bip_dense(rng: random.Random, spec: GenSpec, na: int, nb: int) -> BipartiteGraph:
@@ -115,10 +115,8 @@ def _bip_dense(rng: random.Random, spec: GenSpec, na: int, nb: int) -> Bipartite
     b_ids = list(range(na + 1, na + nb + 1))
     rows = [rng.sample(b_ids, rng.randint(dmin, nb)) for _ in range(na)]
     weights = _draw_weights(rng, spec, na + nb)
-    check_claw_parameter(spec.t)
     runs = ((a, a + 1, row) for a, row in enumerate(rows, start=1))
-    return BipartiteGraph._from_checked(na, nb, spec.t, weights,
-                                        *_finish_adjacency(na + nb, runs))
+    return BipartiteGraph._from_rows(na, nb, spec.t, weights, runs)
 
 
 def _hyp_uniform(rng: random.Random, spec: GenSpec, n: int, m: int) -> Hypergraph:
@@ -179,4 +177,8 @@ def generate(spec: GenSpec) -> BipartiteGraph | SplitGraph | Hypergraph:
     """Generate the instance described by `spec`, deterministically."""
     keys, build = FAMILIES[spec.family]
     sizes = [spec.size(key) for key in keys]
+    n = sum(size for key, size in zip(keys, sizes) if key != "m")
+    if n > MAX_VERTICES:
+        raise ValueError(f"family {spec.family} declares {n} vertices, "
+                         f"more than the limit {MAX_VERTICES}")
     return build(random.Random(spec.seed), spec, *sizes)

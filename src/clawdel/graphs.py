@@ -31,13 +31,14 @@ construction validates; an id that is not an `int`, such as 2.5 or
 "2", is refused rather than converted, in an edge and as a weight key
 alike. A two-sided edge is checked and put in its first-side row in
 one loop, where a repeated pair is merged, a hyperedge by
-`_check_hyperedge`. The parser, the generators, `to_split`,
-`cross_edge_shadow` and the cover constructions build through the
-internal `_from_checked` constructors from parts already checked: as
-the text is read, as the sampler draws them, or when the source graph
-or hypergraph was built. All types are immutable after
-construction (`adj` is read-only by convention) and safe to share
-across threads.
+`_check_hyperedge`. The parser, the generators and the cover
+constructions build each two-sided graph through the internal
+`_from_rows` from rows already checked (as the text is read, as the
+sampler draws them, or when the source hypergraph was built), and only
+t is checked. `to_split`, `cross_edge_shadow` and the hypergraph
+builders store checked parts through the `_from_checked` constructors.
+All types are immutable after construction (`adj` is read-only by
+convention) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -166,6 +167,14 @@ class _TwoSided:
         self.__dict__.update({size1: n1, size2: n2, "t": t, "weights": weights,
                               "adj": adj, "touched": touched})
         return self
+
+    @classmethod
+    def _from_rows(cls, n1: int, n2: int, t: int, weights: dict[int, Weight],
+                   runs: Iterable[tuple[int, int, Iterable[int]]]):
+        """A graph from `runs` of checked rows, as `_finish_adjacency` takes them, and
+        `weights` as `_from_checked` does; only t is checked, before the adjacency is built."""
+        check_claw_parameter(t)
+        return cls._from_checked(n1, n2, t, weights, *_finish_adjacency(n1 + n2, runs))
 
     @property
     def n_vertices(self) -> int:

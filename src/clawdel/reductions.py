@@ -9,9 +9,9 @@ offset. `map_solution` has one rule for both shifted constructions
 require the pad group P, which `hvc-osbcd` does not have. The split
 completion and its shadow are the source read as the other two-sided
 kind, sharing its weights and adjacency. The two cover
-constructions emit unit weights and are built from checked parts: the
+constructions emit unit weights and are built from checked rows: the
 source hypergraph was checked when it was built, so each hands its
-rows of B-neighbours to `graphs._finish_adjacency` with no edge
+rows of B-neighbours to `graphs._TwoSided._from_rows` with no edge
 re-checked; only t is checked. `hvc-osbcd` hands one run of ids per
 gadget, whose A-vertices then share one row; `vc-dense` hands one row
 per A-vertex, one ascending tuple per source edge, which that edge's
@@ -26,8 +26,8 @@ from typing import Iterable
 
 from .claws import find_claw, find_claw_split
 from .formats import int_field
-from .graphs import (BipartiteGraph, Hypergraph, SplitGraph, _finish_adjacency,
-                     _without_disjoint_partner, check_claw_parameter, vertex_degrees)
+from .graphs import (BipartiteGraph, Hypergraph, SplitGraph, _without_disjoint_partner,
+                     vertex_degrees)
 
 ADVISORY_ORACLE_LIMIT = 12
 
@@ -90,13 +90,6 @@ def read_map(text: str) -> ReductionMap:
     return ReductionMap(kind, tuple(groups), offset, tuple(warnings))
 
 
-def _gadget_graph(n_a: int, n_b: int, t: int,
-                  runs: Iterable[tuple[int, int, list[int]]]) -> BipartiteGraph:
-    """The unit-weight graph whose A-ids in each run have its B-neighbours; only t is checked."""
-    check_claw_parameter(t)
-    return BipartiteGraph._from_checked(n_a, n_b, t, {}, *_finish_adjacency(n_a + n_b, runs))
-
-
 def from_hypergraph_cover(hy: Hypergraph) -> tuple[BipartiteGraph, ReductionMap]:
     """Turn a t-uniform vertex cover instance into a bipartite deletion one.
 
@@ -113,7 +106,7 @@ def from_hypergraph_cover(hy: Hypergraph) -> tuple[BipartiteGraph, ReductionMap]
             for j, e in enumerate(hy.hyperedges)]
     groups = [(f"e{j}", lo, hi - 1) for j, (lo, hi, _) in enumerate(runs, start=1)]
     groups.append(("V", n_a + 1, n_a + n))
-    graph = _gadget_graph(n_a, n, hy.t, runs)
+    graph = BipartiteGraph._from_rows(n_a, n, hy.t, {}, runs)
     warnings = tuple(f"hyperedge {j + 1} has no disjoint counterpart"
                      for j in _without_disjoint_partner(hy.hyperedges))
     return graph, ReductionMap("hvc-osbcd", tuple(groups), warnings=warnings)
@@ -202,7 +195,7 @@ def from_regular_graph_cover(g: Hypergraph) -> tuple[BipartiteGraph, ReductionMa
     else:
         warnings.append("vertex-cover-versus-pad-size check skipped: input too large")
     rmap = ReductionMap("vc-dense", tuple(groups), pad, tuple(warnings))
-    return _gadget_graph(n_a, n_b, t, runs), rmap
+    return BipartiteGraph._from_rows(n_a, n_b, t, {}, runs), rmap
 
 
 def _require(condition: bool, message: str) -> None:

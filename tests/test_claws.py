@@ -5,11 +5,13 @@ import pytest
 
 from clawdel import (
     BipartiteGraph,
+    GenSpec,
     SplitGraph,
     claws,
     degree,
     find_claw,
     find_claw_split,
+    generate,
     is_feasible,
     is_minimal,
     reverse_delete,
@@ -180,6 +182,27 @@ def test_touched_ids_and_centre_candidates_match_a_full_scan():
             assert state.centres == max(len(scan) - 1, 0)
             assert state.centres == sum(map(state.is_centre, g.a_side))
     assert claws.centre_candidates(graphs[-1]) == [3]
+
+
+def test_random_remove_and_restore_walks_keep_the_degree_state_exact():
+    for seed in range(30):
+        t = 3 + seed % 2
+        g = generate(GenSpec("bip-random", t, seed, {"na": 6, "nb": 8, "m": 20 + seed % 9}))
+        rng, state, removed = random.Random(seed), claws.DegreeState(g), set()
+        for _ in range(80):
+            if removed and (rng.random() < 0.5 or len(removed) == g.n_vertices):
+                v = rng.choice(sorted(removed))
+                removed.discard(v)
+                state.restore(v)
+            else:
+                v = rng.choice([u for u in g.vertices if u not in removed])
+                removed.add(v)
+                state.remove(v)
+            deg = [sum(b not in removed for b in g.adj[a]) for a in g.a_side]
+            assert state.deg[1:] == deg
+            assert state.centres == sum(a not in removed and d >= t
+                                        for a, d in zip(g.a_side, deg))
+            assert (state.centres == 0) == (find_claw(g, removed) is None)
 
 
 def test_split_feasibility_implies_shadow_feasibility():

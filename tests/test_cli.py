@@ -359,6 +359,8 @@ def test_gen_missing_size_exits_2(tmp_path, capsys):
      "--weights must be 'unit' or 'LO:HI'"),
     ("bip-dense", ["--na", "2", "--nb", "4", "--weights", "1:1_0"],
      "--weights must be 'unit' or 'LO:HI'"),
+    ("bip-random", ["--na", "3000000", "--nb", "3000000", "--m", "1"],
+     "family bip-random declares 6000000 vertices, more than the limit 5000000"),
 ])
 def test_gen_precondition_messages(tmp_path, capsys, family, flags, message):
     out = tmp_path / "x.txt"
@@ -414,11 +416,12 @@ def test_bench_writes_csv(tmp_path, capsys):
         assert main(["gen", "--family", "bip-dense", "--seed", str(seed), "--t", "3",
                      "--na", "3", "--nb", "6",
                      "--output", str(tmp_path / f"i{seed}.bip")]) == 0
+    write(tmp_path / "h.hyp", "p hyp 6 2 3\nh 1 2 3\nh 4 5 6\n")
     csv_path = tmp_path / "report.csv"
     assert main(["bench", "--suite", str(tmp_path), "--algs",
                  "primal-dual,local-ratio,exact,max-subgraph",
                  "--csv", str(csv_path)]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().err == "warning: skipping hypergraph instance h.hyp\n"
     with open(csv_path, newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == 8
@@ -521,6 +524,41 @@ def test_verify_accepts_solver_output(tmp_path, capsys):
                          "--solution", str(solution)]) == 0
             line = capsys.readouterr().out
             assert "feasible=true minimal=true" in line
+
+
+# Each command names one path it cannot write or read: {out} lies in a missing
+# directory, {tmp} holds g1.bip, h.hyp and sol.txt, and {tmp}/suite holds g1.bip.
+FILE_ERRORS = {
+    "gen-output": ("gen --family bip-dense --seed 1 --t 3 --na 2 --nb 4 --output {out}", "{out}"),
+    "reduce-output": ("reduce --kind hvc-osbcd --input {tmp}/h.hyp --output {out}", "{out}"),
+    "reduce-map": ("reduce --kind hvc-osbcd --input {tmp}/h.hyp --output {tmp}/g.bip --map {out}",
+                   "{out}"),
+    "solve-trace": ("solve --alg primal-dual --input {tmp}/g1.bip --trace {out}", "{out}"),
+    "bench-csv": ("bench --suite {tmp}/suite --algs primal-dual --csv {out}", "{out}"),
+    "missing-input": ("solve --alg primal-dual --input {tmp}/none.bip", "{tmp}/none.bip"),
+    "directory-input": ("verify --input {tmp}/suite --solution {tmp}/sol.txt", "{tmp}/suite"),
+    "missing-solution": ("verify --input {tmp}/g1.bip --solution {tmp}/none.txt",
+                         "{tmp}/none.txt"),
+    "directory-solution": ("verify --input {tmp}/g1.bip --solution {tmp}/suite", "{tmp}/suite"),
+    "missing-suite": ("bench --suite {tmp}/none --algs primal-dual --csv {tmp}/x.csv",
+                      "{tmp}/none"),
+    "file-suite": ("bench --suite {tmp}/g1.bip --algs primal-dual --csv {tmp}/x.csv",
+                   "{tmp}/g1.bip"),
+}
+
+
+@pytest.mark.parametrize("argv, path", FILE_ERRORS.values(), ids=FILE_ERRORS)
+def test_a_file_error_exits_2_with_one_line_naming_the_path(tmp_path, capsys, argv, path):
+    write(tmp_path / "g1.bip", G1_TEXT)
+    write(tmp_path / "h.hyp", "p hyp 6 2 3\nh 1 2 3\nh 4 5 6\n")
+    write(tmp_path / "sol.txt", "1\n")
+    (tmp_path / "suite").mkdir()
+    write(tmp_path / "suite" / "g1.bip", G1_TEXT)
+    paths = {"tmp": tmp_path, "out": tmp_path / "missing" / "out.txt"}
+    assert main([token.format(**paths) for token in argv.split()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.format(**paths) in err and "Traceback" not in err
 
 
 def test_bench_unknown_algorithm(tmp_path, capsys):

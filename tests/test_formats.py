@@ -67,6 +67,7 @@ def test_parse_empty_graph():
         ("p bogus 1 1 1 3", "line 1"),
         ("p bip 1 1 1 2\ne 1 2", "line 1"),
         ("", "empty input"),
+        (b"\xff", "not valid UTF-8"),
         ("p bip 1_0 \u0663 1 3\ne +1 1_1", "line 1: header field is not an integer: '1_0'"),
         ("p bip 1 \u0663 1 3\ne 1 2", "line 1: header field is not an integer: '\u0663'"),
         ("p bip 1 1 1 +3\ne 1 2", "line 1: header field is not an integer: '+3'"),
@@ -136,6 +137,14 @@ def test_parse_hypergraph(hy1):
     with pytest.raises(ParseError) as err:
         parse_hypergraph("p hyp 6 1 3\nh 1 2 +3")
     assert "line 2: hyperedge vertex is not an integer: '+3'" in str(err.value)
+    for text, message in [
+        ("p hyp 6 1 1\nh 1", "line 1: uniformity must be >= 2, got 1"),
+        ("p hyp 6 1 3\ne 1 2 3", "line 2: unknown line kind 'e'"),
+        ("p hyp 6 2 3\nh 1 2 3", "header declares 2 hyperedges but 1 were listed"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_hypergraph(text)
+        assert str(err.value) == message
 
 
 def test_comments_and_blank_lines_ignored(g1):
@@ -174,6 +183,8 @@ def test_sniff_and_auto(g1, h2, hy1):
     assert isinstance(parse_auto(serialize_bipartite(g1)), BipartiteGraph)
     with pytest.raises(ParseError):
         sniff_format("hello world")
+    with pytest.raises(ParseError, match="^empty input$"):
+        parse_auto("")
 
 
 def test_crlf_tabs_and_trailing_spaces_parse_like_the_canonical_text(g1):

@@ -13,7 +13,7 @@ from clawdel import (
     vertex_degrees,
 )
 from clawdel.cli import main
-from clawdel.formats import parse_auto
+from clawdel.formats import MAX_VERTICES, parse_auto
 from clawdel.generate import FAMILIES
 from conftest import FAMILY_SIZES, count_validations
 
@@ -131,6 +131,29 @@ def test_generator_errors():
         generate(GenSpec("hyp-uniform", 1, 1, {"n": 4, "m": 3}))
     with pytest.raises(ValueError):
         generate(GenSpec("bip-random", 3, 1, {"na": 2, "nb": 2}))  # missing m
+    with pytest.raises(ValueError, match="size 'nb' must be nonnegative"):
+        generate(GenSpec("bip-random", 3, 1, {"na": 2, "nb": -1, "m": 0}))
+    with pytest.raises(ValueError, match="no simple 5-regular graph on 5 vertices"):
+        generate(GenSpec("regular-graph", 5, 1, {"n": 5}))
+    # every two-sided family checks t
+    for family, sizes in [("bip-random", {"na": 2, "nb": 2, "m": 3}),
+                          ("bip-dense", {"na": 2, "nb": 4}),
+                          ("split-random", {"nc": 2, "ni": 2, "m": 3})]:
+        with pytest.raises(ValueError, match="^claw parameter t must be >= 3, got 2$"):
+            generate(GenSpec(family, 2, 1, sizes))
+    # every size but m counts towards the vertex cap the parser applies
+    for family, sizes in [("bip-random", {"na": 3_000_000, "nb": 3_000_000, "m": 1}),
+                          ("bip-dense", {"na": 1, "nb": MAX_VERTICES}),
+                          ("hyp-uniform", {"n": 6_000_000, "m": 2}),
+                          ("regular-graph", {"n": MAX_VERTICES + 1}),
+                          ("split-random", {"nc": 2_600_000, "ni": 2_600_000, "m": 1})]:
+        n = sum(size for key, size in sizes.items() if key != "m")
+        with pytest.raises(ValueError) as err:
+            generate(GenSpec(family, 3, 1, sizes))
+        assert str(err.value) == (
+            f"family {family} declares {n} vertices, more than the limit {MAX_VERTICES}")
+    at_cap = generate(GenSpec("bip-random", 3, 1, {"na": MAX_VERTICES - 1, "nb": 1, "m": 1}))
+    assert at_cap.n_vertices == MAX_VERTICES and len(at_cap.edges) == 1
     with pytest.raises(ValueError):
         GenSpec("mystery", 3, 1, {})
     for mode in (("uniform", 5, 2), ("uniform", -1, 2), ("uniform", 1), ("x",)):
