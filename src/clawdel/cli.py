@@ -7,13 +7,13 @@
     clawdel bench  --suite dir/ --algs primal-dual,exact --csv out.csv
 
 Exit codes: 0 success, 1 internal invariant violation, 2 parse,
-precondition or file error, 3 oracle size guard, 4 infeasible solution
-in verify. Solve input format is sniffed from the `p bip` / `p split`
-header. `solve` and `bench` run every algorithm through
-`solvers.solve`. `--json` emits one object with keys solution, cost,
-lower_bound, theta, algorithm, iterations, time_ms; rationals are
-strings like "3/2", undefined values are null (lower_bound and theta
-for max-subgraph).
+precondition or file error, 3 neither the primal-dual bound nor a
+12-deep search certifies an exact optimum, 4 infeasible solution in
+verify. Solve input format is sniffed from the `p bip` / `p split`
+header. `solve` and `bench` run every algorithm through `solvers.solve`.
+`--json` emits one object with keys solution, cost, lower_bound, theta,
+algorithm, iterations, time_ms; rationals are strings like "3/2",
+undefined values are null (lower_bound and theta for max-subgraph).
 """
 
 from __future__ import annotations

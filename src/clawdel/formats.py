@@ -76,6 +76,13 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+def check_vertex_cap(what: str, n: int, line_no: int | None = None) -> None:
+    """Refuse a header, `gen` spec or construction of more than MAX_VERTICES vertices."""
+    if n > MAX_VERTICES:
+        raise ParseError(f"{what} declares {n} vertices, more than the limit {MAX_VERTICES}",
+                         line_no)
+
+
 def _decode(text: str | bytes) -> str:
     if isinstance(text, bytes):
         try:
@@ -141,10 +148,7 @@ def _parse_header(tokens: list[str], line_no: int, kind: str, n_fields: int) -> 
     values = [int_field(tok, "header field", line_no) for tok in tokens[2:]]
     if any(v < 0 for v in values):
         raise ParseError("header counts must be nonnegative", line_no)
-    n = sum(values[:-2])
-    if n > MAX_VERTICES:
-        raise ParseError(f"header declares {n} vertices, more than the limit {MAX_VERTICES}",
-                         line_no)
+    check_vertex_cap("header", sum(values[:-2]), line_no)
     return values
 
 

@@ -25,7 +25,7 @@ from functools import partial
 from itertools import groupby
 from typing import Mapping
 
-from .formats import MAX_VERTICES
+from .formats import check_vertex_cap
 from .graphs import BipartiteGraph, Hypergraph, SplitGraph, _without_disjoint_partner
 
 RETRY_CAP = 10_000
@@ -177,8 +177,5 @@ def generate(spec: GenSpec) -> BipartiteGraph | SplitGraph | Hypergraph:
     """Generate the instance described by `spec`, deterministically."""
     keys, build = FAMILIES[spec.family]
     sizes = [spec.size(key) for key in keys]
-    n = sum(size for key, size in zip(keys, sizes) if key != "m")
-    if n > MAX_VERTICES:
-        raise ValueError(f"family {spec.family} declares {n} vertices, "
-                         f"more than the limit {MAX_VERTICES}")
+    check_vertex_cap(f"family {spec.family}", sum(s for k, s in zip(keys, sizes) if k != "m"))
     return build(random.Random(spec.seed), spec, *sizes)

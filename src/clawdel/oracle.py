@@ -7,6 +7,12 @@ branched on in ascending id order with earlier branches forbidden in
 later ones to avoid revisiting states. Costs are exact rationals and
 pruning compares them exactly, so results are optimal and runs are
 deterministic.
+
+One rule sets the oracle's reach. A bipartite instance whose
+primal-dual solution costs its own dual lower bound is certified by
+that bound, before any search. Otherwise the search refuses
+(OracleLimitError) where it would branch past DEFAULT_SEARCH_DEPTH
+chosen vertices.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ ENUMERATION_VERTEX_LIMIT = 14
 
 
 class OracleLimitError(RuntimeError):
-    """The instance needs a deeper search than the configured bound allows."""
+    """The search would branch past DEFAULT_SEARCH_DEPTH chosen vertices."""
 
 
 def _branch_and_bound(
@@ -32,7 +38,6 @@ def _branch_and_bound(
     weight_of: Callable[[int], Weight],
     incumbent: Iterable[int],
     incumbent_cost: Fraction,
-    max_depth: int,
 ) -> tuple[tuple[int, ...], Fraction]:
     best_set = tuple(sorted(incumbent))
     best_cost = incumbent_cost
@@ -45,10 +50,9 @@ def _branch_and_bound(
         if verts is None:
             best_set, best_cost = tuple(sorted(chosen)), cost
             return
-        if len(chosen) >= max_depth:
-            raise OracleLimitError(
-                f"too large for oracle: search depth bound {max_depth} exceeded"
-            )
+        if len(chosen) >= DEFAULT_SEARCH_DEPTH:
+            raise OracleLimitError(f"too large for oracle: search depth bound "
+                                   f"{DEFAULT_SEARCH_DEPTH} exceeded")
         tried: set[int] = set()
         for v in sorted(verts):
             if v in forbidden:
@@ -60,19 +64,19 @@ def _branch_and_bound(
     return best_set, best_cost
 
 
-def exact_min_deletion_set(
-    g: BipartiteGraph | SplitGraph, *, max_depth: int = DEFAULT_SEARCH_DEPTH
-) -> tuple[tuple[int, ...], Fraction]:
-    """Minimum-weight deletion set leaving no claw, by branch and bound.
+def exact_min_deletion_set(g: BipartiteGraph | SplitGraph) -> tuple[tuple[int, ...], Fraction]:
+    """Minimum-weight deletion set leaving no claw.
 
-    Branches on the t + 1 vertices of a claw witness. The incumbent for
-    a bipartite instance comes from the primal-dual solver; a split
-    instance starts from the cheaper of its two sides (both always
-    feasible). Raises OracleLimitError when optimality cannot be
-    certified within `max_depth` branched vertices.
+    A bipartite instance starts from its primal-dual solution, returned
+    as it is when it costs the dual lower bound; a split one starts from
+    the cheaper of its two sides (both always feasible). The search
+    branches on the t + 1 vertices of a claw witness.
     """
     if isinstance(g, BipartiteGraph):
-        incumbent: Iterable[int] = primal_dual_solve(g)[0].solution
+        report = primal_dual_solve(g)[0]
+        if report.dual_lower_bound == report.cost:
+            return report.solution, report.cost
+        incumbent: Iterable[int] = report.solution
         finder = find_claw
     elif isinstance(g, SplitGraph):
         sides = [list(g.clique_side), list(g.indep_side)]
@@ -85,12 +89,10 @@ def exact_min_deletion_set(
         witness = finder(g, chosen)
         return None if witness is None else witness.vertices
 
-    return _branch_and_bound(conflict, g.weight, incumbent, g.total_weight(incumbent), max_depth)
+    return _branch_and_bound(conflict, g.weight, incumbent, g.total_weight(incumbent))
 
 
-def exact_min_vc_hypergraph(
-    hy: Hypergraph, *, max_depth: int = DEFAULT_SEARCH_DEPTH
-) -> tuple[tuple[int, ...], int]:
+def exact_min_vc_hypergraph(hy: Hypergraph) -> tuple[tuple[int, ...], int]:
     """Minimum vertex cover of a uniform hypergraph, by branch and bound."""
     greedy: set[int] = set()
     for e in hy.hyperedges:
@@ -103,30 +105,23 @@ def exact_min_vc_hypergraph(
                 return e
         return None
 
-    cover, cost = _branch_and_bound(
-        conflict, lambda v: Fraction(1), greedy, Fraction(len(greedy)), max_depth
-    )
+    cover, cost = _branch_and_bound(conflict, lambda v: Fraction(1), greedy, Fraction(len(greedy)))
     return cover, int(cost)
 
 
-def exact_min_vc_graph(
-    g: Hypergraph, *, max_depth: int = DEFAULT_SEARCH_DEPTH
-) -> tuple[tuple[int, ...], int]:
+def exact_min_vc_graph(g: Hypergraph) -> tuple[tuple[int, ...], int]:
     """Minimum vertex cover of a simple graph given as a 2-uniform hypergraph."""
     if g.t != 2:
         raise ValueError(f"expected a 2-uniform hypergraph, got uniformity {g.t}")
-    return exact_min_vc_hypergraph(g, max_depth=max_depth)
+    return exact_min_vc_hypergraph(g)
 
 
-def exact_max_subgraph(
-    g: BipartiteGraph | SplitGraph, *, max_depth: int = DEFAULT_SEARCH_DEPTH
-) -> tuple[tuple[int, ...], Fraction]:
+def exact_max_subgraph(g: BipartiteGraph | SplitGraph) -> tuple[tuple[int, ...], Fraction]:
     """Maximum-weight vertex set inducing a claw-free subgraph.
 
     The complement of a minimum-weight deletion set.
     """
-    deleted, cost = exact_min_deletion_set(g, max_depth=max_depth)
-    gone = set(deleted)
+    gone = set(exact_min_deletion_set(g)[0])
     kept = tuple(v for v in g.vertices if v not in gone)
     return kept, g.total_weight(kept)
 

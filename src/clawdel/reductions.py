@@ -8,15 +8,17 @@ offset. `map_solution` has one rule for both shifted constructions
 (`hvc-osbcd`, `vc-dense`): shift the preserved group V, then add or
 require the pad group P, which `hvc-osbcd` does not have. The split
 completion and its shadow are the source read as the other two-sided
-kind, sharing its weights and adjacency. The two cover
-constructions emit unit weights and are built from checked rows: the
-source hypergraph was checked when it was built, so each hands its
-rows of B-neighbours to `graphs._TwoSided._from_rows` with no edge
-re-checked; only t is checked. `hvc-osbcd` hands one run of ids per
-gadget, whose A-vertices then share one row; `vc-dense` hands one row
-per A-vertex, one ascending tuple per source edge, which that edge's
-A-vertices in all 2n blocks share. A map survives its sidecar text
-unchanged: `read_map(write_map(r)) == r`.
+kind, sharing its weights and adjacency. The two cover constructions
+emit unit weights and are built from checked rows: the source hypergraph
+was checked when it was built, so each hands its rows of B-neighbours to
+`graphs._TwoSided._from_rows` with no edge re-checked; only t is
+checked. `hvc-osbcd` hands one run of ids per gadget, whose A-vertices
+then share one row; `vc-dense` hands one row per A-vertex, one ascending
+tuple per source edge, which that edge's A-vertices in all 2n blocks
+share. A map survives its sidecar text unchanged:
+`read_map(write_map(r)) == r`. Each cover construction first counts,
+from the source's sizes, the vertices it would build, and refuses more
+than `formats.MAX_VERTICES`.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .claws import find_claw, find_claw_split
-from .formats import int_field
+from .formats import check_vertex_cap, int_field
 from .graphs import (BipartiteGraph, Hypergraph, SplitGraph, _without_disjoint_partner,
                      vertex_degrees)
-
-ADVISORY_ORACLE_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,7 @@ def from_hypergraph_cover(hy: Hypergraph) -> tuple[BipartiteGraph, ReductionMap]
     correspondence argument leans on that property.
     """
     n, n_a = hy.n, hy.m * hy.n
+    check_vertex_cap("reduction hvc-osbcd", n_a + n)
     # One run of ids per gadget: its n A-vertices share one row.
     runs = [(j * n + 1, (j + 1) * n + 1, [n_a + v for v in e])
             for j, e in enumerate(hy.hyperedges)]
@@ -154,10 +155,12 @@ def from_regular_graph_cover(g: Hypergraph) -> tuple[BipartiteGraph, ReductionMa
 
     The input is a simple graph given as a 2-uniform hypergraph whose
     common degree t becomes the claw parameter. The construction makes
-    2n copies of the edge set on the A side, floor(t/2) - 1 extra
-    copies of the vertex set on the B side, and a pad group P of t - 2
-    (t even) or t - 1 (t odd) vertices adjacent to every A-vertex, so
-    every A-vertex has degree exactly 2(t - 1). `offset` records |P|.
+    2n copies of the edge set on the A side, floor(t/2) - 1 extra copies
+    of the vertex set on the B side, and a pad group P of t - 2 (t even)
+    or t - 1 (t odd) vertices adjacent to every A-vertex, so every
+    A-vertex has degree exactly 2(t - 1). `offset` records |P|. A
+    warning flags a minimum vertex cover no larger than |P|, or the
+    oracle's refusal to find one.
     """
     if g.t != 2:
         raise ValueError(f"expected a 2-uniform hypergraph, got uniformity {g.t}")
@@ -172,6 +175,7 @@ def from_regular_graph_cover(g: Hypergraph) -> tuple[BipartiteGraph, ReductionMa
     pad = t - 2 if t % 2 == 0 else t - 1
     n_a = 2 * n * m
     n_b = (x + 1) * n + pad
+    check_vertex_cap("reduction vc-dense", n_a + n_b)
     pad_lo = n_a + (x + 1) * n + 1
 
     # The A-vertex of edge k has the same row in each of the 2n blocks: both
@@ -185,14 +189,13 @@ def from_regular_graph_cover(g: Hypergraph) -> tuple[BipartiteGraph, ReductionMa
               *((f"V{c}", n_a + c * n + 1, n_a + (c + 1) * n) for c in range(1, x + 1)),
               ("P", pad_lo, pad_lo + pad - 1)]
 
-    warnings: list[str] = []
-    if n <= ADVISORY_ORACLE_LIMIT:
-        from .oracle import exact_min_vc_graph
+    from .oracle import OracleLimitError, exact_min_vc_graph
 
-        _, vc = exact_min_vc_graph(g)
-        if vc <= pad:
+    warnings: list[str] = []
+    try:
+        if (vc := exact_min_vc_graph(g)[1]) <= pad:
             warnings.append(f"minimum vertex cover {vc} is not larger than the pad size {pad}")
-    else:
+    except OracleLimitError:
         warnings.append("vertex-cover-versus-pad-size check skipped: input too large")
     rmap = ReductionMap("vc-dense", tuple(groups), pad, tuple(warnings))
     return BipartiteGraph._from_rows(n_a, n_b, t, {}, runs), rmap

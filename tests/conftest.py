@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from clawdel import BipartiteGraph, Hypergraph, SplitGraph, graphs
+from clawdel import BipartiteGraph, Hypergraph, SplitGraph, graphs, oracle
 
 
 @pytest.fixture
@@ -105,3 +105,16 @@ def count_validations(monkeypatch):
             _original(self, *args)
         monkeypatch.setattr(cls, "__post_init__", counting)
     return runs
+
+
+def spy_on_search(monkeypatch):
+    """The argument tuples of every oracle branch and bound from now until the test ends."""
+    searches = []
+    search = oracle._branch_and_bound
+
+    def spy(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(oracle, "_branch_and_bound", spy)
+    return searches

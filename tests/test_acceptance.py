@@ -221,7 +221,7 @@ def test_criterion_06_factor_two_on_dense():
     worst = Fraction(0)
     for g in DENSE_SUITE:
         solved, _ = primal_dual_solve(g)
-        _, opt = exact_min_deletion_set(g, max_depth=g.n_vertices)
+        _, opt = exact_min_deletion_set(g)
         if opt == 0:
             assert solved.cost == 0
             continue
@@ -250,7 +250,7 @@ def test_criterion_07_local_ratio_bound():
         solved = local_ratio_solve(g)
         assert is_feasible(g, solved.solution)
         assert is_minimal(g, solved.solution)
-        _, opt = exact_min_deletion_set(g, max_depth=g.n_vertices)
+        _, opt = exact_min_deletion_set(g)
         if opt == 0:
             assert solved.cost == 0
             continue
@@ -263,7 +263,7 @@ def test_criterion_08_max_subgraph_bounds():
     worst_dense = worst_general = Fraction(1)
     for g in DENSE_SUITE:
         _, weight = max_subgraph_solve(g)
-        _, opt_max = exact_max_subgraph(g, max_depth=g.n_vertices)
+        _, opt_max = exact_max_subgraph(g)
         assert 3 * weight >= 2 * opt_max
         if weight > 0:
             worst_dense = max(worst_dense, Fraction(opt_max, weight))
@@ -271,8 +271,8 @@ def test_criterion_08_max_subgraph_bounds():
         _, weight = max_subgraph_solve(g)
         assert 2 * weight >= g.total_weight(g.vertices)
         solved, _ = primal_dual_solve(g)
-        _, opt = exact_min_deletion_set(g, max_depth=g.n_vertices)
-        _, opt_max = exact_max_subgraph(g, max_depth=g.n_vertices)
+        _, opt = exact_min_deletion_set(g)
+        _, opt_max = exact_max_subgraph(g)
         if weight > 0:
             worst_general = max(worst_general, Fraction(opt_max, weight))
         if solved.cost <= g.t * opt:
@@ -307,7 +307,7 @@ def test_criterion_10_dense_construction_equality():
         built, rmap = from_regular_graph_cover(src)
         assert all(degree(built, a) == 2 * (built.t - 1) for a in built.a_side)
         _, vc = exact_min_vc_graph(src)
-        _, opt = exact_min_deletion_set(built, max_depth=rmap.offset + vc + 1)
+        _, opt = exact_min_deletion_set(built)
         expected = rmap.offset + vc
         if opt != expected:
             failures.append(f"instance {idx}: expected {expected}, oracle found {opt}")

@@ -50,7 +50,7 @@ def test_complete_bipartite_graphs(t):
             g = complete_bipartite(n_a, n_b, t)
             opt = min(n_a, n_b - t + 1)
             if n_a + n_b <= 14:
-                assert exact_min_deletion_set(g, max_depth=g.n_vertices)[1] == opt
+                assert exact_min_deletion_set(g)[1] == opt
                 checked += 1
             pd = solve(g, "primal-dual")[0]
             lr = solve(g, "local-ratio")[0]
@@ -94,7 +94,7 @@ def test_complete_hypergraphs_through_the_cover_construction(t, sizes):
 def oracle_ratio(g):
     """Primal-dual cost / opt, checked against the oracle; None on a claw-free graph."""
     report = solve(g, "primal-dual")[0]
-    _, opt = exact_min_deletion_set(g, max_depth=g.n_vertices)
+    _, opt = exact_min_deletion_set(g)
     assert is_feasible(g, report.solution) and is_minimal(g, report.solution)
     assert report.dual_lower_bound <= opt and report.cost <= g.t * opt
     assert report.theta <= g.t

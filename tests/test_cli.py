@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import reference_solvers as ref
-from clawdel import GenSpec, cli, generate, oracle, parse_auto, primal_dual_solve
+from clawdel import GenSpec, cli, formats, generate, oracle, parse_auto, primal_dual_solve
 from clawdel.cli import main
 from clawdel.generate import FAMILIES
 from clawdel.solvers import TraceStep
@@ -31,6 +31,14 @@ def thirteen_stars():
         base = 13 + 3 * k
         lines.extend(f"e {k + 1} {base + i}" for i in (1, 2, 3))
     return "\n".join(lines) + "\n"
+
+
+def gen_hard(path):
+    """A 13x16 bip-random graph whose primal-dual bound is not tight and whose
+    search reaches the depth bound before it certifies an optimum."""
+    assert main(["gen", "--family", "bip-random", "--seed", "0", "--t", "3", "--na", "13",
+                 "--nb", "16", "--m", "100", "--output", str(path)]) == 0
+    return str(path)
 
 
 def test_solve_text_output(tmp_path, capsys):
@@ -190,9 +198,20 @@ def test_solve_non_ascii_integer_tokens_exit_2(tmp_path, capsys):
 
 
 def test_solve_oracle_guard_exits_3(tmp_path, capsys):
-    instance = write(tmp_path / "big.bip", thirteen_stars())
+    instance = gen_hard(tmp_path / "hard.bip")
     assert main(["solve", "--alg", "exact", "--input", instance]) == 3
-    assert "too large for oracle" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", "error: too large for oracle: search depth bound 12 exceeded\n")
+
+
+def test_solve_exact_certifies_thirteen_stars_by_the_bound(tmp_path, capsys):
+    # An optimum of 13 is deeper than the search goes, but primal-dual's
+    # bound equals its cost, so no search is needed.
+    instance = write(tmp_path / "stars.bip", thirteen_stars())
+    assert main(["solve", "--alg", "exact", "--input", instance, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["solution"] == list(range(1, 14))
+    assert payload["cost"] == payload["lower_bound"] == "13"
 
 
 def test_solve_hypergraph_rejected(tmp_path, capsys):
@@ -274,6 +293,22 @@ def test_reduce_vc_dense_rejects_irregular(tmp_path, capsys):
     assert main(["reduce", "--kind", "vc-dense", "--input", instance,
                  "--output", str(tmp_path / "o.bip")]) == 2
     assert "regular" in capsys.readouterr().err
+
+
+def test_reduce_over_the_vertex_cap_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # two triples on six vertices build 2 * 6 + 6 = 18 vertices
+    instance = write(tmp_path / "two.hyp", "p hyp 6 2 3\nh 1 2 3\nh 4 5 6\n")
+    out, rmap = tmp_path / "out.bip", tmp_path / "out.map"
+    argv = ["reduce", "--kind", "hvc-osbcd", "--input", instance, "--output", str(out),
+            "--map", str(rmap)]
+    monkeypatch.setattr(formats, "MAX_VERTICES", 17)
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: reduction hvc-osbcd declares 18 vertices, more than the limit 17\n")
+    assert not out.exists() and not rmap.exists()
+    monkeypatch.setattr(formats, "MAX_VERTICES", 18)
+    assert main(argv) == 0
+    assert out.read_text(encoding="utf-8").startswith("p bip 12 6 36 3\n")
 
 
 def test_reduce_kind_input_mismatch(tmp_path, capsys):
@@ -470,12 +505,11 @@ def test_bench_runs_the_oracle_once_per_instance(tmp_path, capsys, monkeypatch):
 
 
 def test_bench_runs_the_oracle_once_when_it_refuses(tmp_path, capsys, monkeypatch):
-    # Thirteen disjoint 3-stars are past the oracle's depth guard. The exact row
-    # is the oracle's own search of this bipartite graph, so its refusal stands
-    # for the optimum's too.
+    # The hard graph is past the oracle's depth guard. The exact row is the
+    # oracle's own search of this bipartite graph, so its refusal stands for
+    # the optimum's too.
     calls = _count_oracle_calls(monkeypatch)
-    (tmp_path / "stars.bip").write_text("p bip 13 39 39 3\n" + "".join(
-        f"e {k + 1} {14 + 3 * k + i}\n" for k in range(13) for i in range(3)))
+    gen_hard(tmp_path / "hard.bip")
     csv_path = tmp_path / "report.csv"
     for algs in ("exact,primal-dual", "primal-dual"):
         calls.clear()
@@ -485,9 +519,9 @@ def test_bench_runs_the_oracle_once_when_it_refuses(tmp_path, capsys, monkeypatc
         with open(csv_path, newline="") as handle:
             assert {r["opt"] for r in csv.DictReader(handle)} == {""}
     assert capsys.readouterr().err == (
-        "warning: stars.bip: oracle skipped (size guard)\n"
-        "warning: stars.bip [exact]: too large for oracle: search depth bound 12 exceeded\n"
-        "warning: stars.bip: oracle skipped (size guard)\n")
+        "warning: hard.bip: oracle skipped (size guard)\n"
+        "warning: hard.bip [exact]: too large for oracle: search depth bound 12 exceeded\n"
+        "warning: hard.bip: oracle skipped (size guard)\n")
 
 
 def test_bench_takes_a_split_optimum_from_the_exact_row(tmp_path, capsys):

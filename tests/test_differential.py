@@ -3,7 +3,9 @@
 `reference_solvers` holds the straightforward loops that rebuild their
 state on every raise, round or vertex. The solvers must reproduce them
 exactly: reports, the (amount, selected) sequence of the dual trace,
-reverse deletion, minimality and theta.
+reverse deletion, minimality and theta. On the same instances, the
+exact oracle is checked against primal-dual's bound and against
+exhaustive enumeration.
 """
 
 import heapq
@@ -17,10 +19,13 @@ import reference_solvers as ref
 from clawdel import (
     BipartiteGraph,
     GenSpec,
+    OracleLimitError,
     PolymatroidContext,
     SplitGraph,
     claws,
     dual_rank,
+    enumerate_minimal_deletion_sets,
+    exact_min_deletion_set,
     generate,
     incident_edges,
     is_minimal,
@@ -31,6 +36,7 @@ from clawdel import (
     solvers,
     theta_of_solution,
 )
+from conftest import spy_on_search
 
 WEIGHT_MODES = ("unit", "1:9", "zero", "fraction")
 
@@ -355,3 +361,27 @@ def test_solvers_do_not_rebuild_per_iteration(monkeypatch):
     counts.update(DegreeState=0)
     assert theta_of_solution(g, report.solution) == report.theta
     assert counts["DegreeState"] == 0
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_the_oracle_searches_only_where_the_primal_dual_bound_is_not_tight(chunk, monkeypatch):
+    searches = spy_on_search(monkeypatch)
+    certified = enumerated = 0
+    for g in INSTANCES[chunk::4]:
+        report = primal_dual_solve(g)[0]
+        tight = report.dual_lower_bound == report.cost
+        searches.clear()
+        try:
+            solution, cost = exact_min_deletion_set(g)
+        except OracleLimitError:
+            assert not tight and len(searches) == 1
+            continue
+        if tight:
+            assert not searches and (solution, cost) == (report.solution, report.cost)
+            certified += 1
+            continue
+        assert len(searches) == 1
+        if g.n_vertices <= 14:
+            assert cost == min(g.total_weight(s) for s in enumerate_minimal_deletion_sets(g))
+            enumerated += 1
+    assert certified >= 100 and enumerated >= 1

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -5,6 +6,7 @@ import pytest
 
 from clawdel import (
     BipartiteGraph,
+    GenSpec,
     Hypergraph,
     OracleLimitError,
     enumerate_minimal_deletion_sets,
@@ -12,10 +14,12 @@ from clawdel import (
     exact_min_deletion_set,
     exact_min_vc_graph,
     exact_min_vc_hypergraph,
+    generate,
     is_feasible,
     is_minimal,
+    primal_dual_solve,
 )
-from conftest import random_bipartite, random_split
+from conftest import random_bipartite, random_split, spy_on_search
 
 
 def subsets(vs):
@@ -69,15 +73,44 @@ def disjoint_stars(k):
     return BipartiteGraph(k, 3 * k, frozenset(edges), 3)
 
 
-def test_oracle_depth_guard():
-    # 13 disjoint stars need a solution of size 13, deeper than the default
-    with pytest.raises(OracleLimitError):
-        exact_min_deletion_set(disjoint_stars(13))
-    # a loose bound blocks certification, a sufficient one allows it
-    with pytest.raises(OracleLimitError):
-        exact_min_deletion_set(disjoint_stars(5), max_depth=4)
-    _, cost = exact_min_deletion_set(disjoint_stars(5), max_depth=5)
-    assert cost == 5
+def test_oracle_depth_guard(monkeypatch):
+    searches = spy_on_search(monkeypatch)
+    # 13 disjoint stars need a solution of size 13, deeper than the search
+    # goes, but primal-dual's bound equals its cost and certifies it
+    assert exact_min_deletion_set(disjoint_stars(13)) == (tuple(range(1, 14)), 13)
+    assert not searches
+    # here the bound is not tight, and the search refuses at its depth
+    hard = generate(GenSpec("bip-random", 3, 0, {"na": 13, "nb": 16, "m": 100}))
+    report = primal_dual_solve(hard)[0]
+    assert (report.dual_lower_bound, report.cost) == (Fraction(72697, 6720), 13)
+    with pytest.raises(OracleLimitError, match="search depth bound 12 exceeded$"):
+        exact_min_deletion_set(hard)
+    assert len(searches) == 1
+
+
+def wide_graph(seed):
+    """8000x16000 with 1,600 edges: 12 disjoint 3-claws, every other A-degree at most 2."""
+    rng = random.Random(seed)
+    na, nb = 8000, 16000
+    centres = rng.sample(range(1, na + 1), 12)
+    leaves = rng.sample(range(na + 1, na + nb + 1), 36)
+    edges = {(a, leaves[3 * k + i]) for k, a in enumerate(centres) for i in range(3)}
+    degree = dict.fromkeys(centres, 3)
+    while len(edges) < 1600:
+        a, b = rng.randint(1, na), rng.randint(na + 1, na + nb)
+        if degree.get(a, 0) < 2 and (a, b) not in edges:
+            edges.add((a, b))
+            degree[a] = degree.get(a, 0) + 1
+    return BipartiteGraph(na, nb, frozenset(edges), 3)
+
+
+def test_the_bound_certifies_the_wide_shape_without_a_search(monkeypatch):
+    searches = spy_on_search(monkeypatch)
+    g = wide_graph(97)
+    assert sum(len(g.adj[a]) >= 3 for a in g.a_side) == 12
+    solution, cost = exact_min_deletion_set(g)
+    assert cost == 12 and is_feasible(g, solution)
+    assert not searches
 
 
 def test_exact_min_vc_hypergraph_examples(hy1):
@@ -97,8 +130,6 @@ def test_exact_min_vc_graph_on_k4():
 
 
 def test_exact_min_vc_matches_enumeration():
-    import random
-
     for seed in range(40):
         rng = random.Random(seed)
         n = rng.randint(3, 7)

@@ -12,12 +12,14 @@ from clawdel import (
     exact_min_deletion_set,
     exact_min_vc_graph,
     exact_min_vc_hypergraph,
+    formats,
     from_hypergraph_cover,
     from_regular_graph_cover,
     generate,
     GenSpec,
     is_feasible,
     map_solution,
+    oracle,
     read_map,
     to_bipartite,
     to_split,
@@ -237,6 +239,37 @@ def test_dense_construction_even_degree_arithmetic():
     assert all(degree(g, a) == 6 for a in g.a_side)
 
 
+def test_cover_constructions_refuse_more_vertices_than_the_cap(hy1, monkeypatch):
+    # hy1 builds 12 + 6 vertices and K4 48 + 6: each builds at the cap and is
+    # refused one below it, before any graph is built or any cover is searched
+    built, searched = [], []
+    from_rows, vc_graph = BipartiteGraph._from_rows.__func__, oracle.exact_min_vc_graph
+
+    def building(cls, *args):
+        built.append(cls)
+        return from_rows(cls, *args)
+
+    def searching(g):
+        searched.append(g)
+        return vc_graph(g)
+
+    monkeypatch.setattr(BipartiteGraph, "_from_rows", classmethod(building))
+    monkeypatch.setattr(oracle, "exact_min_vc_graph", searching)
+    for construct, source, kind, n in ((from_hypergraph_cover, hy1, "hvc-osbcd", 18),
+                                       (from_regular_graph_cover, k4(), "vc-dense", 54)):
+        monkeypatch.setattr(formats, "MAX_VERTICES", n)
+        assert construct(source)[0].n_vertices == n and built
+        assert len(searched) == (kind == "vc-dense")
+        built.clear()
+        searched.clear()
+        monkeypatch.setattr(formats, "MAX_VERTICES", n - 1)
+        with pytest.raises(ValueError) as err:
+            construct(source)
+        assert str(err.value) == (
+            f"reduction {kind} declares {n} vertices, more than the limit {n - 1}")
+        assert built == searched == []
+
+
 def test_dense_construction_rejects_bad_inputs():
     path = Hypergraph(3, 2, ((1, 2), (2, 3)))
     with pytest.raises(ValueError):
@@ -282,12 +315,18 @@ def test_sidecar_round_trip(hy1, g2):
         to_split(g2)[1],
         to_bipartite(SplitGraph(2, 2, frozenset({(1, 3), (1, 4)}), 3))[1],
         from_regular_graph_cover(k4())[1],
-        from_regular_graph_cover(generate(GenSpec("regular-graph", 3, 1, {"n": 14})))[1],
+        *(from_regular_graph_cover(generate(GenSpec("regular-graph", 3, 1, {"n": n})))[1]
+          for n in (14, 20)),
     ]
     assert [r.kind for r in maps] == [
         "hvc-osbcd", "hvc-osbcd", "osbcd-split", "split-osbcd", "vc-dense", "vc-dense",
+        "vc-dense",
     ]
-    assert all(maps[i].warnings for i in (1, 3, 5)) and maps[4].offset == 2
+    assert all(maps[i].warnings for i in (1, 3)) and maps[4].offset == 2
+    # the 14-vertex graph's cover, 8, is within the oracle's reach and above
+    # the pad size 2; the 20-vertex graph's is not within reach
+    assert maps[5].warnings == ()
+    assert maps[6].warnings == ("vertex-cover-versus-pad-size check skipped: input too large",)
     for rmap in maps:
         assert read_map(write_map(rmap)) == rmap
 
