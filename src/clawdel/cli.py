@@ -6,11 +6,11 @@
     clawdel verify --input g.bip --solution sol.txt
     clawdel bench  --suite dir/ --algs primal-dual,exact --csv out.csv
 
-Exit codes: 0 success, 1 internal invariant violation, 2 parse,
-precondition or file error, 3 neither the primal-dual bound nor a
-12-deep search certifies an exact optimum, 4 infeasible solution in
-verify. Solve input format is sniffed from the `p bip` / `p split`
-header. `solve` and `bench` run every algorithm through `solvers.solve`.
+Exit codes: 0 success, 1 a primal-dual or local-ratio split solution
+leaves a split claw, 2 parse, precondition or file error, 3 the exact
+oracle certifies no optimum, 4 infeasible solution in verify. Input is
+sniffed from the `p bip` / `p split` header. Every algorithm runs via
+`solvers.solve`; `bench` takes `opt` from the exact row if one is run.
 `--json` emits one object with keys solution, cost, lower_bound, theta,
 algorithm, iterations, time_ms; rationals are strings like "3/2",
 undefined values are null (lower_bound and theta for max-subgraph).
@@ -296,15 +296,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"warning: skipping hypergraph instance {path.name}", file=sys.stderr)
             continue
         g = _load_deletion_instance(str(path))
-        # A successful exact row costs the optimum, so the oracle runs once. On a
-        # split graph that row solves the shadow, and a split-feasible shadow
-        # optimum is the split optimum, since every split-feasible set is
-        # shadow feasible. On a bipartite graph a refused exact row is the
-        # oracle's own refusal of g, so the search is not run again.
         exact = _attempt(g, "exact") if "exact" in algs else None
         opt = exact.cost if isinstance(exact, SolveReport) else None
-        if opt is None and not (isinstance(exact, OracleLimitError)
-                                and isinstance(g, BipartiteGraph)):
+        if exact is None:
             try:
                 _, opt = exact_min_deletion_set(g)
             except OracleLimitError:

@@ -23,10 +23,12 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
+from math import comb
 from typing import Mapping
 
 from .formats import check_vertex_cap
-from .graphs import BipartiteGraph, Hypergraph, SplitGraph, _without_disjoint_partner
+from .graphs import (BipartiteGraph, Hypergraph, SplitGraph, _without_disjoint_partner,
+                     check_claw_parameter)
 
 RETRY_CAP = 10_000
 
@@ -112,6 +114,7 @@ def _bip_dense(rng: random.Random, spec: GenSpec, na: int, nb: int) -> Bipartite
     dmin = 2 * (spec.t - 1)
     if nb < dmin:
         raise ValueError(f"dense family needs nb >= 2(t-1) = {dmin}, got {nb}")
+    check_claw_parameter(spec.t)  # before a negative dmin reaches randint
     b_ids = list(range(na + 1, na + nb + 1))
     rows = [rng.sample(b_ids, rng.randint(dmin, nb)) for _ in range(na)]
     weights = _draw_weights(rng, spec, na + nb)
@@ -128,22 +131,20 @@ def _hyp_uniform(rng: random.Random, spec: GenSpec, n: int, m: int) -> Hypergrap
         )
     if t < 2:
         raise ValueError(f"uniformity must be >= 2, got {t}")
+    # C(n, k) rises with k up to n/2 >= t, so this is m > C(n, t) without computing it
+    if all(comb(n, k) < m for k in range(t + 1)):
+        raise ValueError(f"cannot place {m} hyperedges in a {t}-uniform hypergraph on {n} vertices")
     population = list(range(1, n + 1))
     for _ in range(RETRY_CAP):
-        seen: set[tuple[int, ...]] = set()
-        hyperedges: list[tuple[int, ...]] = []
-        attempts = 0
-        while len(hyperedges) < m and attempts < RETRY_CAP:
-            attempts += 1
+        drawn: dict[tuple[int, ...], None] = {}  # a set that keeps the draw order
+        repeats = 0  # a try ends after RETRY_CAP draws of a hyperedge it has
+        while len(drawn) < m and repeats < RETRY_CAP:
             e = tuple(sorted(rng.sample(population, t)))
-            if e in seen:
-                continue
-            seen.add(e)
-            hyperedges.append(e)
-        if len(hyperedges) < m:
-            continue
-        if next(_without_disjoint_partner(hyperedges), None) is None:
-            return Hypergraph._from_checked(n, t, tuple(hyperedges))
+            repeats += e in drawn
+            drawn[e] = None
+        hyperedges = tuple(drawn)
+        if len(hyperedges) == m and next(_without_disjoint_partner(hyperedges), None) is None:
+            return Hypergraph._from_checked(n, t, hyperedges)
     raise ValueError("retry budget exhausted while sampling a uniform hypergraph")
 
 

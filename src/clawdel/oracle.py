@@ -8,11 +8,13 @@ later ones to avoid revisiting states. Costs are exact rationals and
 pruning compares them exactly, so results are optimal and runs are
 deterministic.
 
-One rule sets the oracle's reach. A bipartite instance whose
-primal-dual solution costs its own dual lower bound is certified by
-that bound, before any search. Otherwise the search refuses
-(OracleLimitError) where it would branch past DEFAULT_SEARCH_DEPTH
-chosen vertices.
+One rule sets the oracle's reach: a cheaper certificate, then the
+search. A bipartite instance is certified by primal-dual's bound when
+its solution costs that bound. A split one is first solved on its
+cross-edge shadow, a relaxation (every split-feasible set is shadow
+feasible), whose optimum is returned when it leaves no split claw.
+Otherwise the search refuses (OracleLimitError) where it would branch
+past DEFAULT_SEARCH_DEPTH chosen vertices.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Callable, Iterable
 
 from .claws import find_claw, find_claw_split, is_feasible
 from .graphs import BipartiteGraph, Hypergraph, SplitGraph, Weight
+from .reductions import cross_edge_shadow
 from .solvers import primal_dual_solve
 
 DEFAULT_SEARCH_DEPTH = 12
@@ -64,32 +67,39 @@ def _branch_and_bound(
     return best_set, best_cost
 
 
-def exact_min_deletion_set(g: BipartiteGraph | SplitGraph) -> tuple[tuple[int, ...], Fraction]:
-    """Minimum-weight deletion set leaving no claw.
-
-    A bipartite instance starts from its primal-dual solution, returned
-    as it is when it costs the dual lower bound; a split one starts from
-    the cheaper of its two sides (both always feasible). The search
-    branches on the t + 1 vertices of a claw witness.
-    """
-    if isinstance(g, BipartiteGraph):
-        report = primal_dual_solve(g)[0]
-        if report.dual_lower_bound == report.cost:
-            return report.solution, report.cost
-        incumbent: Iterable[int] = report.solution
-        finder = find_claw
-    elif isinstance(g, SplitGraph):
-        sides = [list(g.clique_side), list(g.indep_side)]
-        incumbent = min(sides, key=lambda s: (g.total_weight(s), s))
-        finder = find_claw_split
-    else:
-        raise TypeError(f"expected a bipartite or split graph, got {type(g).__name__}")
-
+def _search(g: BipartiteGraph | SplitGraph, finder,
+            incumbent: Iterable[int]) -> tuple[tuple[int, ...], Fraction]:
     def conflict(chosen: set[int]) -> tuple[int, ...] | None:
         witness = finder(g, chosen)
         return None if witness is None else witness.vertices
 
     return _branch_and_bound(conflict, g.weight, incumbent, g.total_weight(incumbent))
+
+
+def _bipartite_min_deletion_set(g: BipartiteGraph) -> tuple[tuple[int, ...], Fraction]:
+    report = primal_dual_solve(g)[0]
+    if report.dual_lower_bound == report.cost:
+        return report.solution, report.cost
+    return _search(g, find_claw, report.solution)
+
+
+def exact_min_deletion_set(g: BipartiteGraph | SplitGraph) -> tuple[tuple[int, ...], Fraction]:
+    """Minimum-weight deletion set leaving no claw, within the module's reach rule.
+
+    The search branches on the t + 1 vertices of a claw witness. It starts from
+    primal-dual's solution on a bipartite graph and from a split graph's cheaper side.
+    """
+    if isinstance(g, BipartiteGraph):
+        return _bipartite_min_deletion_set(g)
+    if not isinstance(g, SplitGraph):
+        raise TypeError(f"expected a bipartite or split graph, got {type(g).__name__}")
+    try:
+        solution, cost = _bipartite_min_deletion_set(cross_edge_shadow(g))
+        if find_claw_split(g, solution) is None:
+            return solution, cost
+    except OracleLimitError:
+        pass
+    return _search(g, find_claw_split, min(g.sides, key=g.total_weight))  # either side is feasible
 
 
 def exact_min_vc_hypergraph(hy: Hypergraph) -> tuple[tuple[int, ...], int]:

@@ -21,10 +21,10 @@ a dynamic filter for an exact predicate (Brönnimann, Burnikel and Pion,
 2001). Every amount, bound and level is an exact rational: see `_key`
 and `_floor_level` for the two kinds of heap key.
 
-The deletion solvers share one finish step, `_finish`: reverse deletion
-on the solver's own claw-free `DegreeState`, then cost, θ and report.
-`solve(g, algorithm)` is the one entry point: it picks the solver by
-name and solves a split graph through its cross-edge bipartite shadow.
+Primal-dual and local-ratio share one finish step, `_finish`: reverse
+deletion on the solver's own claw-free `DegreeState`, then cost, θ and
+report. `solve(g, algorithm)` is the one entry point; it runs exact on
+g itself and the other two on a split graph's cross-edge shadow.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from math import gcd, inf, nextafter
 from typing import Iterable
 
 from . import reductions
-from .claws import DegreeState, centre_candidates, find_claw_split, prune
-from .claws import reverse_delete  # noqa: F401 (re-export)
+from .claws import DegreeState, centre_candidates, find_claw_split, prune, reverse_delete
 from .graphs import BipartiteGraph, SplitGraph, Weight
 
 
@@ -59,9 +58,9 @@ class SolveReport:
     """Outcome of one solver run.
 
     `cost` is the weight of `solution`; `dual_lower_bound` is a valid
-    lower bound on the optimum established during the run; `theta` is
-    the certificate sum(dual_rank(delta(v)) for v in solution) /
-    dual_rank(E) on the whole graph, or None where undefined. For
+    lower bound on the optimum (exact's is the optimum); `theta` is
+    sum(dual_rank(delta(v)) for v in solution) / dual_rank(E) on the
+    graph or a split graph's shadow, 0 where dual_rank(E) = 0. For
     max-subgraph, `solution` is the kept set, `cost` its weight, and
     `dual_lower_bound` and `theta` are None. `elapsed_s` is set by
     `solve` only.
@@ -100,26 +99,21 @@ def theta_of_solution(g: BipartiteGraph, solution: Iterable[int]) -> Fraction:
     A-vertex of degree >= t contributes 2 * (deg - t + 1), a B-vertex
     twice its number of such neighbours, read off `g.adj` in O(|E|):
     the denominator sums over `centre_candidates` and the numerator over
-    the solution's degrees. A claw-free graph has dual_rank(E) = 0; the
-    ratio is then 0 for the empty solution and undefined (ValueError)
-    otherwise.
+    the solution's degrees. A claw-free graph has dual_rank(E) = 0, and
+    then every numerator term is 0 too, so θ is 0. An id outside the
+    graph raises ValueError.
     """
     t, adj = g.t, g.adj
     total = sum(2 * (len(adj[a]) - t + 1) for a in centre_candidates(g))
-    sol = sorted(set(solution))
-    if total == 0:
-        if not sol:
-            return Fraction(0)
-        raise ValueError("theta undefined: graph is claw free but solution is nonempty")
     numer, vertices = 0, g.vertices
-    for v in sol:
+    for v in set(solution):
         if v not in vertices:
             raise ValueError(f"vertex {v} out of range")
         if v <= g.n_a:
             numer += max(len(adj[v]) - t + 1, 0)
         else:
             numer += sum(len(adj[a]) >= t for a in adj[v])
-    return Fraction(2 * numer, total)
+    return Fraction(2 * numer, total) if total else Fraction(0)
 
 
 def _finish(state: DegreeState, selected: list[int], lower: Fraction, algorithm: str,
@@ -344,20 +338,21 @@ def local_ratio_solve(g: BipartiteGraph) -> SolveReport:
     return _finish(state, selected, Fraction(lower), "local-ratio", rounds)
 
 
-def exact_solve(g: BipartiteGraph) -> SolveReport:
+def exact_solve(g: BipartiteGraph | SplitGraph) -> SolveReport:
     """Exact minimum-weight deletion, packaged like the other solvers.
 
-    The oracle's minimum set must be feasible. It is pruned to a minimal
-    one (only zero-weight vertices can ever be dropped, so the cost is
-    still the optimum), and the reported lower bound is the optimum.
+    The oracle's minimum set is pruned by reverse deletion (only
+    zero-weight vertices can ever be dropped, so the cost is still the
+    optimum); the lower bound is the optimum, θ read on a split shadow.
     """
     from .oracle import exact_min_deletion_set
 
     raw, opt = exact_min_deletion_set(g)
-    state = DegreeState(g, raw)
-    if state.centres:
-        raise ValueError("reverse deletion requires a feasible input set")
-    return _finish(state, list(raw), opt, "exact", 0)
+    solution = sorted(reverse_delete(g, raw))
+    shadow = g if isinstance(g, BipartiteGraph) else reductions.cross_edge_shadow(g)
+    return SolveReport(solution=tuple(solution), cost=g.total_weight(solution),
+                       dual_lower_bound=opt, theta=theta_of_solution(shadow, solution),
+                       algorithm="exact", iterations=0)
 
 
 def max_subgraph_solve(g: BipartiteGraph | SplitGraph) -> tuple[tuple[int, ...], Fraction]:
@@ -398,10 +393,10 @@ def solve(
 ) -> tuple[SolveReport, list[TraceStep] | None]:
     """Run one of `ALGORITHMS` on g, timed; only primal-dual returns a trace.
 
-    A split graph's deletion algorithms run on its cross-edge bipartite
-    shadow, and the set found is re-verified on the split graph; a claw
-    left there (one that uses a clique vertex as a leaf) raises
-    ShadowMismatchError.
+    exact runs on g itself, split or not. On a split graph primal-dual
+    and local-ratio run on its cross-edge bipartite shadow, and the set
+    found is re-verified on the split graph; a claw left there (one
+    that uses a clique vertex as a leaf) raises ShadowMismatchError.
     """
     clock = time.perf_counter
     started = clock()
@@ -412,7 +407,7 @@ def solve(
                              algorithm=algorithm, iterations=0)
     elif algorithm not in _DELETION_SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    elif isinstance(g, BipartiteGraph):
+    elif isinstance(g, BipartiteGraph) or algorithm == "exact":
         report, trace = _DELETION_SOLVERS[algorithm](g)
     else:
         report, trace = _DELETION_SOLVERS[algorithm](reductions.cross_edge_shadow(g))

@@ -20,13 +20,8 @@ from clawdel.solvers import SolveReport
 def theta_of_solution(g, solution):
     ctx = polymatroid.PolymatroidContext(g)
     total = polymatroid.dual_rank(ctx, ctx.edges)
-    sol = sorted(set(solution))
-    if total == 0:
-        if not sol:
-            return Fraction(0)
-        raise ValueError("theta undefined: graph is claw free but solution is nonempty")
-    numer = sum(polymatroid.dual_rank(ctx, incident_edges(g, v)) for v in sol)
-    return Fraction(numer, total)
+    numer = sum(polymatroid.dual_rank(ctx, incident_edges(g, v)) for v in set(solution))
+    return Fraction(numer, total) if total else Fraction(0)
 
 
 def is_minimal(g, solution):

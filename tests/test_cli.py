@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import reference_solvers as ref
-from clawdel import GenSpec, cli, formats, generate, oracle, parse_auto, primal_dual_solve
+from clawdel import (GenSpec, SplitGraph, cli, formats, generate, oracle, parse_auto,
+                     primal_dual_solve)
 from clawdel.cli import main
 from clawdel.generate import FAMILIES
 from clawdel.solvers import TraceStep
@@ -524,17 +525,17 @@ def test_bench_runs_the_oracle_once_when_it_refuses(tmp_path, capsys, monkeypatc
         "warning: hard.bip: oracle skipped (size guard)\n")
 
 
-def test_bench_takes_a_split_optimum_from_the_exact_row(tmp_path, capsys):
-    # The oracle's depth guard refuses this split graph, but the exact row
-    # solves its shadow, and the shadow optimum it finds is split feasible.
+def test_bench_takes_a_split_optimum_from_the_exact_row(tmp_path, capsys, monkeypatch):
+    # The oracle certifies this split graph by its shadow's optimum, which is
+    # split feasible, so the exact row costs the optimum and is the one oracle run.
+    calls = _count_oracle_calls(monkeypatch)
     instance = tmp_path / "s.split"
     assert main(["gen", "--family", "split-random", "--seed", "11", "--t", "3", "--nc", "10",
                  "--ni", "20", "--m", "60", "--weights", "1:9", "--output", str(instance)]) == 0
-    with pytest.raises(oracle.OracleLimitError):
-        oracle.exact_min_deletion_set(cli._load_deletion_instance(str(instance)))
     csv_path = tmp_path / "report.csv"
     assert main(["bench", "--suite", str(tmp_path), "--algs", "exact,max-subgraph",
                  "--csv", str(csv_path)]) == 0
+    assert len(calls) == 1 and isinstance(calls[0], SplitGraph)
     assert capsys.readouterr().err == ""
     with open(csv_path, newline="") as handle:
         exact, kept = csv.DictReader(handle)

@@ -28,11 +28,13 @@ from clawdel import (
     exact_min_deletion_set,
     generate,
     incident_edges,
+    is_feasible,
     is_minimal,
     local_ratio_solve,
     polymatroid,
     primal_dual_solve,
     reverse_delete,
+    solve,
     solvers,
     theta_of_solution,
 )
@@ -305,10 +307,7 @@ def test_theta_closed_form_matches_polymatroid_context():
         total = dual_rank(ctx, ctx.edges)
         subset = [v for v in g.vertices if rng.random() < 0.4]
         if total == 0:
-            assert theta_of_solution(g, ()) == 0
-            if subset:
-                with pytest.raises(ValueError, match="claw free"):
-                    theta_of_solution(g, subset)
+            assert theta_of_solution(g, subset) == theta_of_solution(g, ()) == 0
             continue
         numer = sum(dual_rank(ctx, incident_edges(g, v)) for v in subset)
         assert theta_of_solution(g, subset) == Fraction(numer, total)
@@ -385,3 +384,19 @@ def test_the_oracle_searches_only_where_the_primal_dual_bound_is_not_tight(chunk
             assert cost == min(g.total_weight(s) for s in enumerate_minimal_deletion_sets(g))
             enumerated += 1
     assert certified >= 100 and enumerated >= 1
+
+
+@pytest.mark.parametrize("nc,ni,m", [(4, 8, 12), (5, 9, 16), (6, 8, 20), (3, 11, 15)])
+def test_split_exact_costs_the_cheapest_minimal_set(nc, ni, m):
+    # Weights are drawn after the edges, so each seed's three weightings share
+    # one graph, and its minimal sets are enumerated once.
+    for seed in range(40):
+        graphs = [generate(GenSpec("split-random", 3, seed, {"nc": nc, "ni": ni, "m": m}, mode))
+                  for mode in (("unit",), ("uniform", 0, 3), ("uniform", 1, 9))]
+        assert len({tuple(h.adj) for h in graphs}) == 1
+        minimal = enumerate_minimal_deletion_sets(graphs[0])
+        for h in graphs:
+            report = solve(h, "exact")[0]
+            opt = min(h.total_weight(s) for s in minimal)
+            assert report.cost == report.dual_lower_bound == opt
+            assert is_feasible(h, report.solution) and is_minimal(h, report.solution)

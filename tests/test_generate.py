@@ -50,6 +50,20 @@ def test_hyp_uniform_disjoint_counterparts():
             assert any(set(e).isdisjoint(f) for f in hy.hyperedges if f != e)
 
 
+def test_hyp_uniform_refuses_more_hyperedges_than_exist():
+    # C(6, 3) = 20 triples: 21 is refused before anything is drawn, and 20 takes them all
+    with pytest.raises(ValueError, match=r"^cannot place 21 hyperedges in a 3-uniform "
+                                         r"hypergraph on 6 vertices$"):
+        generate(GenSpec("hyp-uniform", 3, 1, {"n": 6, "m": 21}))
+    assert len(set(generate(GenSpec("hyp-uniform", 3, 1, {"n": 6, "m": 20})).hyperedges)) == 20
+
+
+def test_hyp_uniform_counts_only_repeated_draws_against_a_try():
+    # more hyperedges than RETRY_CAP: a cap on every draw ended each try short of m
+    hy = generate(GenSpec("hyp-uniform", 3, 1, {"n": 200, "m": 10_001}))
+    assert hy.m == len(set(hy.hyperedges)) == 10_001
+
+
 def test_regular_graph_family():
     for seed in range(1000):
         g = generate(GenSpec("regular-graph", 3, seed, {"n": 6}))
@@ -139,8 +153,9 @@ def test_generator_errors():
     for family, sizes in [("bip-random", {"na": 2, "nb": 2, "m": 3}),
                           ("bip-dense", {"na": 2, "nb": 4}),
                           ("split-random", {"nc": 2, "ni": 2, "m": 3})]:
-        with pytest.raises(ValueError, match="^claw parameter t must be >= 3, got 2$"):
-            generate(GenSpec(family, 2, 1, sizes))
+        for t in (2, 0, -1):
+            with pytest.raises(ValueError, match=f"^claw parameter t must be >= 3, got {t}$"):
+                generate(GenSpec(family, t, 1, sizes))
     # every size but m counts towards the vertex cap the parser applies
     for family, sizes in [("bip-random", {"na": 3_000_000, "nb": 3_000_000, "m": 1}),
                           ("bip-dense", {"na": 1, "nb": MAX_VERTICES}),

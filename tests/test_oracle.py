@@ -9,6 +9,7 @@ from clawdel import (
     GenSpec,
     Hypergraph,
     OracleLimitError,
+    SplitGraph,
     enumerate_minimal_deletion_sets,
     exact_max_subgraph,
     exact_min_deletion_set,
@@ -71,6 +72,24 @@ def disjoint_stars(k):
         base = k + 3 * j
         edges.update((a, base + i) for i in (1, 2, 3))
     return BipartiteGraph(k, 3 * k, frozenset(edges), 3)
+
+
+def test_a_split_graph_is_searched_only_when_its_shadow_optimum_leaves_a_claw(monkeypatch):
+    searches = spy_on_search(monkeypatch)
+
+    def searched():  # the kind of graph each search ran on, read off its weight function
+        return [type(args[1].__self__) for args in searches]
+
+    # the shadow's optimum is split feasible, so only the shadow is searched
+    h = generate(GenSpec("split-random", 3, 11, {"nc": 10, "ni": 20, "m": 60}, ("uniform", 1, 9)))
+    solution, cost = exact_min_deletion_set(h)
+    assert cost == 28 and is_feasible(h, solution)
+    assert searched() == [BipartiteGraph]
+    # the shadow is claw free, and its empty optimum leaves the split claw (1; 2, 3, 4)
+    searches.clear()
+    mismatch = SplitGraph(2, 2, frozenset({(1, 3), (1, 4)}), 3)
+    assert exact_min_deletion_set(mismatch) == ((1,), 1)
+    assert searched() == [SplitGraph]
 
 
 def test_oracle_depth_guard(monkeypatch):

@@ -272,10 +272,12 @@ def test_theta_examples(g1, g2):
 
 
 def test_theta_claw_free_cases():
+    # dual_rank(E) = 0 makes every numerator term 0 too, so theta is 0
     g = BipartiteGraph(1, 2, frozenset({(1, 2), (1, 3)}), 3)
-    assert theta_of_solution(g, ()) == 0
-    with pytest.raises(ValueError):
-        theta_of_solution(g, {2})
+    for solution in ((), {2}, {1, 2, 3}):
+        assert theta_of_solution(g, solution) == 0
+    with pytest.raises(ValueError, match="out of range"):
+        theta_of_solution(g, {4})
 
 
 def test_cost_bounded_by_max_theta_times_optimum():
