@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 a primal-dual or local-ratio split solution
 leaves a split claw, 2 parse, precondition or file error, 3 the exact
 oracle certifies no optimum, 4 infeasible solution in verify. Input is
 sniffed from the `p bip` / `p split` header. Every algorithm runs via
-`solvers.solve`; `bench` takes `opt` from the exact row if one is run.
+`solvers.solve`; `bench` takes `opt` from one exact run per instance (its
+exact row), whose search ends where it meets a certified lower bound.
 `--json` emits one object with keys solution, cost, lower_bound, theta,
 algorithm, iterations, time_ms; rationals are strings like "3/2",
 undefined values are null (lower_bound and theta for max-subgraph).
@@ -37,7 +38,7 @@ from .formats import (
 )
 from .generate import FAMILIES, GenSpec, generate, provenance
 from .graphs import BipartiteGraph, Hypergraph, SplitGraph
-from .oracle import OracleLimitError, exact_min_deletion_set
+from .oracle import OracleLimitError
 from .reductions import (
     from_hypergraph_cover,
     from_regular_graph_cover,
@@ -296,13 +297,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"warning: skipping hypergraph instance {path.name}", file=sys.stderr)
             continue
         g = _load_deletion_instance(str(path))
-        exact = _attempt(g, "exact") if "exact" in algs else None
+        exact = _attempt(g, "exact")
         opt = exact.cost if isinstance(exact, SolveReport) else None
-        if exact is None:
-            try:
-                _, opt = exact_min_deletion_set(g)
-            except OracleLimitError:
-                pass
         if opt is None:
             print(f"warning: {path.name}: oracle skipped (size guard)", file=sys.stderr)
         rows.extend(_bench_row(path.name, alg, g, exact if alg == "exact" else _attempt(g, alg),

@@ -8,13 +8,15 @@ later ones to avoid revisiting states. Costs are exact rationals and
 pruning compares them exactly, so results are optimal and runs are
 deterministic.
 
-One rule sets the oracle's reach: a cheaper certificate, then the
-search. A bipartite instance is certified by primal-dual's bound when
-its solution costs that bound. A split one is first solved on its
-cross-edge shadow, a relaxation (every split-feasible set is shadow
-feasible), whose optimum is returned when it leaves no split claw.
-Otherwise the search refuses (OracleLimitError) where it would branch
-past DEFAULT_SEARCH_DEPTH chosen vertices.
+One rule certifies every exact answer: a search ends where its
+incumbent costs a certified lower bound. A bipartite search starts from
+primal-dual's solution, bounded by its dual. A split one is bounded by
+the optimum of its cross-edge shadow, a relaxation (every split-feasible
+set is shadow feasible), or by the shadow's dual where that search
+refuses; it starts from that optimum if it leaves no split claw, else
+from the cheaper side. A cover search is bounded by its greedy packing
+of disjoint hyperedges. The search refuses (OracleLimitError) where it
+would branch past DEFAULT_SEARCH_DEPTH chosen vertices.
 """
 
 from __future__ import annotations
@@ -41,13 +43,14 @@ def _branch_and_bound(
     weight_of: Callable[[int], Weight],
     incumbent: Iterable[int],
     incumbent_cost: Fraction,
+    lower: Fraction | int,
 ) -> tuple[tuple[int, ...], Fraction]:
     best_set = tuple(sorted(incumbent))
     best_cost = incumbent_cost
 
     def search(chosen: set[int], forbidden: frozenset[int], cost: Fraction) -> None:
         nonlocal best_set, best_cost
-        if cost >= best_cost:
+        if cost >= best_cost or best_cost == lower:
             return
         verts = conflict(chosen)
         if verts is None:
@@ -67,39 +70,37 @@ def _branch_and_bound(
     return best_set, best_cost
 
 
-def _search(g: BipartiteGraph | SplitGraph, finder,
-            incumbent: Iterable[int]) -> tuple[tuple[int, ...], Fraction]:
+def _search(g: BipartiteGraph | SplitGraph, finder, incumbent: Iterable[int],
+            lower: Fraction) -> tuple[tuple[int, ...], Fraction]:
     def conflict(chosen: set[int]) -> tuple[int, ...] | None:
         witness = finder(g, chosen)
         return None if witness is None else witness.vertices
 
-    return _branch_and_bound(conflict, g.weight, incumbent, g.total_weight(incumbent))
-
-
-def _bipartite_min_deletion_set(g: BipartiteGraph) -> tuple[tuple[int, ...], Fraction]:
-    report = primal_dual_solve(g)[0]
-    if report.dual_lower_bound == report.cost:
-        return report.solution, report.cost
-    return _search(g, find_claw, report.solution)
+    return _branch_and_bound(conflict, g.weight, incumbent, g.total_weight(incumbent), lower)
 
 
 def exact_min_deletion_set(g: BipartiteGraph | SplitGraph) -> tuple[tuple[int, ...], Fraction]:
-    """Minimum-weight deletion set leaving no claw, within the module's reach rule.
+    """Minimum-weight deletion set leaving no claw, by the module's one rule.
 
-    The search branches on the t + 1 vertices of a claw witness. It starts from
-    primal-dual's solution on a bipartite graph and from a split graph's cheaper side.
+    The search branches on the t + 1 vertices of a claw witness and ends where its
+    incumbent costs a certified lower bound: primal-dual's dual bound on a bipartite
+    graph, the optimum of the cross-edge shadow on a split graph.
     """
     if isinstance(g, BipartiteGraph):
-        return _bipartite_min_deletion_set(g)
+        report = primal_dual_solve(g)[0]
+        return _search(g, find_claw, report.solution, report.dual_lower_bound)
     if not isinstance(g, SplitGraph):
         raise TypeError(f"expected a bipartite or split graph, got {type(g).__name__}")
+    side = min(g.sides, key=g.total_weight)  # either side is feasible
+    shadow = cross_edge_shadow(g)
+    report = primal_dual_solve(shadow)[0]
     try:
-        solution, cost = _bipartite_min_deletion_set(cross_edge_shadow(g))
-        if find_claw_split(g, solution) is None:
-            return solution, cost
+        solution, lower = _search(shadow, find_claw, report.solution, report.dual_lower_bound)
     except OracleLimitError:
-        pass
-    return _search(g, find_claw_split, min(g.sides, key=g.total_weight))  # either side is feasible
+        solution, lower = side, report.dual_lower_bound
+    if find_claw_split(g, solution) is not None:
+        solution = side
+    return _search(g, find_claw_split, solution, lower)
 
 
 def exact_min_vc_hypergraph(hy: Hypergraph) -> tuple[tuple[int, ...], int]:
@@ -115,7 +116,9 @@ def exact_min_vc_hypergraph(hy: Hypergraph) -> tuple[tuple[int, ...], int]:
                 return e
         return None
 
-    cover, cost = _branch_and_bound(conflict, lambda v: Fraction(1), greedy, Fraction(len(greedy)))
+    # greedy holds pairwise disjoint hyperedges, and a cover meets each of them
+    cover, cost = _branch_and_bound(conflict, lambda v: Fraction(1), greedy, Fraction(len(greedy)),
+                                    len(greedy) // hy.t)
     return cover, int(cost)
 
 

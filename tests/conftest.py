@@ -108,13 +108,25 @@ def count_validations(monkeypatch):
 
 
 def spy_on_search(monkeypatch):
-    """The argument tuples of every oracle branch and bound from now until the test ends."""
+    """Every oracle branch and bound from now until the test ends, in order.
+
+    Each is a pair: its arguments after the conflict callable (weight_of,
+    incumbent, incumbent_cost, lower), and a list of the nodes whose
+    conflict it asked for, each a (chosen set, conflict's answer) pair.
+    """
     searches = []
     search = oracle._branch_and_bound
 
-    def spy(*args):
-        searches.append(args)
-        return search(*args)
+    def spy(conflict, *args):
+        nodes = []
+        searches.append((args, nodes))
+
+        def counting(chosen):
+            verts = conflict(chosen)
+            nodes.append((frozenset(chosen), verts))
+            return verts
+
+        return search(counting, *args)
 
     monkeypatch.setattr(oracle, "_branch_and_bound", spy)
     return searches

@@ -481,8 +481,7 @@ def _count_oracle_calls(monkeypatch):
         calls.append(args[0])
         return oracle_fn(*args, **kwargs)
 
-    for site in (oracle, cli):
-        monkeypatch.setattr(site, "exact_min_deletion_set", counting)
+    monkeypatch.setattr(oracle, "exact_min_deletion_set", counting)
     return calls
 
 

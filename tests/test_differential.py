@@ -373,13 +373,14 @@ def test_the_oracle_searches_only_where_the_primal_dual_bound_is_not_tight(chunk
         try:
             solution, cost = exact_min_deletion_set(g)
         except OracleLimitError:
-            assert not tight and len(searches) == 1
-            continue
-        if tight:
-            assert not searches and (solution, cost) == (report.solution, report.cost)
-            certified += 1
+            assert not tight and len(searches) == 1 and searches[0][1]
             continue
         assert len(searches) == 1
+        if tight:  # the bound ends the search at its root
+            assert not searches[0][1] and (solution, cost) == (report.solution, report.cost)
+            certified += 1
+            continue
+        assert searches[0][1]
         if g.n_vertices <= 14:
             assert cost == min(g.total_weight(s) for s in enumerate_minimal_deletion_sets(g))
             enumerated += 1

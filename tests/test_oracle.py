@@ -20,6 +20,7 @@ from clawdel import (
     is_minimal,
     primal_dual_solve,
 )
+from clawdel.reductions import cross_edge_shadow
 from conftest import random_bipartite, random_split, spy_on_search
 
 
@@ -77,34 +78,58 @@ def disjoint_stars(k):
 def test_a_split_graph_is_searched_only_when_its_shadow_optimum_leaves_a_claw(monkeypatch):
     searches = spy_on_search(monkeypatch)
 
-    def searched():  # the kind of graph each search ran on, read off its weight function
-        return [type(args[1].__self__) for args in searches]
+    def searched():  # the kind of graph each search ran on, and whether it visited a node
+        return [(type(args[0].__self__), bool(nodes)) for args, nodes in searches]
 
-    # the shadow's optimum is split feasible, so only the shadow is searched
+    # the shadow's optimum is split feasible and costs the split search's
+    # lower bound, so the split search ends at its root
     h = generate(GenSpec("split-random", 3, 11, {"nc": 10, "ni": 20, "m": 60}, ("uniform", 1, 9)))
     solution, cost = exact_min_deletion_set(h)
     assert cost == 28 and is_feasible(h, solution)
-    assert searched() == [BipartiteGraph]
-    # the shadow is claw free, and its empty optimum leaves the split claw (1; 2, 3, 4)
+    assert searched() == [(BipartiteGraph, True), (SplitGraph, False)]
+    # the shadow is claw free (certified at its root), and its empty optimum
+    # leaves the split claw (1; 2, 3, 4)
     searches.clear()
     mismatch = SplitGraph(2, 2, frozenset({(1, 3), (1, 4)}), 3)
     assert exact_min_deletion_set(mismatch) == ((1,), 1)
-    assert searched() == [SplitGraph]
+    assert searched() == [(BipartiteGraph, False), (SplitGraph, True)]
+
+
+def test_the_split_search_stops_at_its_first_set_costing_the_shadow_optimum(monkeypatch):
+    searches = spy_on_search(monkeypatch)
+    at_root = stopped = 0
+    for seed in range(40):
+        h = generate(GenSpec("split-random", 3, seed, {"nc": 6, "ni": 12, "m": 30}))
+        _, lower = exact_min_deletion_set(cross_edge_shadow(h))
+        searches.clear()
+        _, cost = exact_min_deletion_set(h)
+        args, nodes = searches[-1]
+        assert args[0].__self__ is h
+        if args[2] == lower:  # the shadow's split-feasible optimum, or the cheaper side
+            assert not nodes and cost == lower
+            at_root += 1
+            continue
+        ends = [k for k, (chosen, verts) in enumerate(nodes)
+                if verts is None and h.total_weight(chosen) == lower]
+        if ends:  # no node follows the first set that costs the bound
+            assert ends == [len(nodes) - 1] and cost == lower
+            stopped += 1
+    assert (at_root, stopped) == (22, 5)
 
 
 def test_oracle_depth_guard(monkeypatch):
     searches = spy_on_search(monkeypatch)
     # 13 disjoint stars need a solution of size 13, deeper than the search
-    # goes, but primal-dual's bound equals its cost and certifies it
+    # goes, but primal-dual's bound equals its cost and ends the search at its root
     assert exact_min_deletion_set(disjoint_stars(13)) == (tuple(range(1, 14)), 13)
-    assert not searches
+    assert [nodes for _, nodes in searches] == [[]]
     # here the bound is not tight, and the search refuses at its depth
     hard = generate(GenSpec("bip-random", 3, 0, {"na": 13, "nb": 16, "m": 100}))
     report = primal_dual_solve(hard)[0]
     assert (report.dual_lower_bound, report.cost) == (Fraction(72697, 6720), 13)
     with pytest.raises(OracleLimitError, match="search depth bound 12 exceeded$"):
         exact_min_deletion_set(hard)
-    assert len(searches) == 1
+    assert len(searches) == 2 and searches[1][1]
 
 
 def wide_graph(seed):
@@ -129,7 +154,7 @@ def test_the_bound_certifies_the_wide_shape_without_a_search(monkeypatch):
     assert sum(len(g.adj[a]) >= 3 for a in g.a_side) == 12
     solution, cost = exact_min_deletion_set(g)
     assert cost == 12 and is_feasible(g, solution)
-    assert not searches
+    assert [nodes for _, nodes in searches] == [[]]
 
 
 def test_exact_min_vc_hypergraph_examples(hy1):
@@ -138,6 +163,18 @@ def test_exact_min_vc_hypergraph_examples(hy1):
     assert all(set(cover) & set(e) for e in hy1.hyperedges)
     single = Hypergraph(5, 3, ((2, 3, 4),))
     assert exact_min_vc_hypergraph(single)[1] == 1
+
+
+def test_the_cover_search_stops_at_its_first_cover_as_small_as_the_packing(monkeypatch):
+    # four pairwise disjoint triples: greedy takes all 12 vertices, and every
+    # cover meets each triple, so the first 4-vertex cover ends the search
+    searches = spy_on_search(monkeypatch)
+    hy = Hypergraph(12, 3, ((1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12)))
+    assert exact_min_vc_hypergraph(hy) == ((1, 4, 7, 10), 4)
+    [(args, nodes)] = searches
+    assert args[1:] == ({*range(1, 13)}, 12, 4)
+    assert [sorted(chosen) for chosen, _ in nodes] == [[], [1], [1, 4], [1, 4, 7], [1, 4, 7, 10]]
+    assert nodes[-1][1] is None
 
 
 def test_exact_min_vc_graph_on_k4():
