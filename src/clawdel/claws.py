@@ -233,10 +233,10 @@ def _restore_test(g: BipartiteGraph | SplitGraph, removed: set[int], infeasible:
 
 
 def is_minimal(g: BipartiteGraph | SplitGraph, solution: Iterable[int]) -> bool:
-    """True iff `solution` is feasible and no proper subset is.
+    """True iff no proper subset of the feasible set `solution` is feasible.
 
-    That is, reverse deletion keeps all of it. Raises ValueError when
-    `solution` is not feasible to begin with.
+    That is, reverse deletion keeps all of it. An infeasible `solution`
+    raises ValueError.
     """
     sol = sorted(set(solution))
     return prune(sol, *_restore_test(g, set(sol), "solution is not feasible")) == sol

@@ -9,7 +9,8 @@ only when it is not, so integral instances do their weight arithmetic
 in `int`, which is exact too and mixes exactly with `Fraction`.
 
 Both graph kinds are one two-sided structure (a split graph leaves its
-clique edges implicit) and share one validator and one set of helpers.
+clique edges implicit) and share one validator and one set of helpers;
+`cross_edge_shadow` is the one rule for what a deletion solver reads.
 Adjacency `adj` is a list indexed by id with slot 0 empty; a negative
 index would still read a slot, so callers bounds-check with
 `v in g.vertices`. Edges are stored once, as the first-side rows of
@@ -274,6 +275,16 @@ class SplitGraph(_TwoSided):
 # dataclass takes a class attribute named like an init field as its default.
 BipartiteGraph.edges = SplitGraph.cross_edges = property(
     lambda g: frozenset((u, v) for u in g.sides[0] for v in g.adj[u]))
+
+
+def cross_edge_shadow(g: BipartiteGraph | SplitGraph) -> BipartiteGraph:
+    """What a deletion solver reads of g, in O(1): a bipartite graph itself, a split graph
+    without its implicit clique edges, sharing its parts; TypeError for anything else."""
+    if isinstance(g, BipartiteGraph):
+        return g
+    if not isinstance(g, SplitGraph):
+        raise TypeError(f"expected a bipartite or split graph, got {type(g).__name__}")
+    return BipartiteGraph._from_checked(g.n_clique, g.n_indep, g.t, g.weights, g.adj, g.touched)
 
 
 def _check_hyperedge(e: Iterable[int], n: int, t: int, seen: set) -> tuple[int, ...]:

@@ -3,20 +3,22 @@
 Branch and bound over violated structures: whenever the current choice
 is infeasible, some claw (or uncovered hyperedge) survives, and every
 solution must pick at least one of its vertices, so those vertices are
-branched on in ascending id order with earlier branches forbidden in
-later ones to avoid revisiting states. Costs are exact rationals and
-pruning compares them exactly, so results are optimal and runs are
-deterministic.
+branched on in ascending id order (a claw witness and a hyperedge both
+list theirs sorted) with earlier branches forbidden in later ones to
+avoid revisiting states. Costs are exact rationals and pruning compares
+them exactly, so results are optimal and runs are deterministic.
 
 One rule certifies every exact answer: a search ends where its
-incumbent costs a certified lower bound. A bipartite search starts from
-primal-dual's solution, bounded by its dual. A split one is bounded by
-the optimum of its cross-edge shadow, a relaxation (every split-feasible
-set is shadow feasible), or by the shadow's dual where that search
-refuses; it starts from that optimum if it leaves no split claw, else
-from the cheaper side. A cover search is bounded by its greedy packing
-of disjoint hyperedges. The search refuses (OracleLimitError) where it
-would branch past DEFAULT_SEARCH_DEPTH chosen vertices.
+incumbent costs a certified lower bound. `graphs.cross_edge_shadow`
+tells the two graph kinds apart and refuses any other. A bipartite
+search starts from primal-dual's solution, bounded by its dual. A split
+one is bounded by the optimum of its cross-edge shadow, a relaxation
+(every split-feasible set is shadow feasible), or by the shadow's dual
+where that search refuses; it starts from that optimum if it leaves no
+split claw, else from the cheaper side. A cover search is bounded by its
+greedy packing of disjoint hyperedges. The search refuses
+(OracleLimitError) where it would branch past DEFAULT_SEARCH_DEPTH
+chosen vertices.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from itertools import combinations
 from typing import Callable, Iterable
 
 from .claws import find_claw, find_claw_split, is_feasible
-from .graphs import BipartiteGraph, Hypergraph, SplitGraph, Weight
-from .reductions import cross_edge_shadow
+from .graphs import BipartiteGraph, Hypergraph, SplitGraph, Weight, cross_edge_shadow
 from .solvers import primal_dual_solve
 
 DEFAULT_SEARCH_DEPTH = 12
@@ -59,12 +60,9 @@ def _branch_and_bound(
         if len(chosen) >= DEFAULT_SEARCH_DEPTH:
             raise OracleLimitError(f"too large for oracle: search depth bound "
                                    f"{DEFAULT_SEARCH_DEPTH} exceeded")
-        tried: set[int] = set()
-        for v in sorted(verts):
-            if v in forbidden:
-                continue
-            search(chosen | {v}, forbidden | frozenset(tried), cost + weight_of(v))
-            tried.add(v)
+        for i, v in enumerate(verts):
+            if v not in forbidden:
+                search(chosen | {v}, forbidden.union(verts[:i]), cost + weight_of(v))
 
     search(set(), frozenset(), Fraction(0))
     return best_set, best_cost
@@ -86,14 +84,11 @@ def exact_min_deletion_set(g: BipartiteGraph | SplitGraph) -> tuple[tuple[int, .
     incumbent costs a certified lower bound: primal-dual's dual bound on a bipartite
     graph, the optimum of the cross-edge shadow on a split graph.
     """
-    if isinstance(g, BipartiteGraph):
-        report = primal_dual_solve(g)[0]
-        return _search(g, find_claw, report.solution, report.dual_lower_bound)
-    if not isinstance(g, SplitGraph):
-        raise TypeError(f"expected a bipartite or split graph, got {type(g).__name__}")
-    side = min(g.sides, key=g.total_weight)  # either side is feasible
     shadow = cross_edge_shadow(g)
     report = primal_dual_solve(shadow)[0]
+    if shadow is g:
+        return _search(g, find_claw, report.solution, report.dual_lower_bound)
+    side = min(g.sides, key=g.total_weight)  # either side is feasible
     try:
         solution, lower = _search(shadow, find_claw, report.solution, report.dual_lower_bound)
     except OracleLimitError:

@@ -7,18 +7,19 @@ invariant), so preserved source vertices land on the B side at a fixed
 offset. `map_solution` has one rule for both shifted constructions
 (`hvc-osbcd`, `vc-dense`): shift the preserved group V, then add or
 require the pad group P, which `hvc-osbcd` does not have. The split
-completion and its shadow are the source read as the other two-sided
-kind, sharing its weights and adjacency. The two cover constructions
-emit unit weights and are built from checked rows: the source hypergraph
-was checked when it was built, so each hands its rows of B-neighbours to
+completion is the source read as the other two-sided kind, sharing its
+weights and adjacency; `to_bipartite` returns the cross-edge shadow
+`graphs.cross_edge_shadow`. The two cover constructions emit unit
+weights and are built from checked rows: the source hypergraph was
+checked when it was built, so each hands its rows of B-neighbours to
 `graphs._TwoSided._from_rows` with no edge re-checked; only t is
 checked. `hvc-osbcd` hands one run of ids per gadget, whose A-vertices
 then share one row; `vc-dense` hands one row per A-vertex, one ascending
 tuple per source edge, which that edge's A-vertices in all 2n blocks
-share. A map survives its sidecar text unchanged:
-`read_map(write_map(r)) == r`. Each cover construction first counts,
-from the source's sizes, the vertices it would build, and refuses more
-than `formats.MAX_VERTICES`.
+share, and checks its pad against `oracle.exact_min_vc_graph`. A map
+survives its sidecar text unchanged: `read_map(write_map(r)) == r`.
+Each cover construction first counts, from the source's sizes, the
+vertices it would build, and refuses more than `formats.MAX_VERTICES`.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import oracle
 from .claws import find_claw, find_claw_split
 from .formats import check_vertex_cap, int_field
 from .graphs import (BipartiteGraph, Hypergraph, SplitGraph, _without_disjoint_partner,
-                     vertex_degrees)
+                     cross_edge_shadow, vertex_degrees)
 
 
 @dataclass(frozen=True)
@@ -123,11 +125,6 @@ def to_split(g: BipartiteGraph) -> tuple[SplitGraph, ReductionMap]:
     return split, rmap
 
 
-def cross_edge_shadow(h: SplitGraph) -> BipartiteGraph:
-    """The split graph without its implicit clique edges; ids, weights and t carry over."""
-    return BipartiteGraph._from_checked(h.n_clique, h.n_indep, h.t, h.weights, h.adj, h.touched)
-
-
 def to_bipartite(h: SplitGraph) -> tuple[BipartiteGraph, ReductionMap]:
     """Drop the implicit clique edges, keeping the cross-edge shadow.
 
@@ -189,13 +186,11 @@ def from_regular_graph_cover(g: Hypergraph) -> tuple[BipartiteGraph, ReductionMa
               *((f"V{c}", n_a + c * n + 1, n_a + (c + 1) * n) for c in range(1, x + 1)),
               ("P", pad_lo, pad_lo + pad - 1)]
 
-    from .oracle import OracleLimitError, exact_min_vc_graph
-
     warnings: list[str] = []
     try:
-        if (vc := exact_min_vc_graph(g)[1]) <= pad:
+        if (vc := oracle.exact_min_vc_graph(g)[1]) <= pad:
             warnings.append(f"minimum vertex cover {vc} is not larger than the pad size {pad}")
-    except OracleLimitError:
+    except oracle.OracleLimitError:
         warnings.append("vertex-cover-versus-pad-size check skipped: input too large")
     rmap = ReductionMap("vc-dense", tuple(groups), pad, tuple(warnings))
     return BipartiteGraph._from_rows(n_a, n_b, t, {}, runs), rmap

@@ -21,10 +21,10 @@ a dynamic filter for an exact predicate (Brönnimann, Burnikel and Pion,
 2001). Every amount, bound and level is an exact rational: see `_key`
 and `_floor_level` for the two kinds of heap key.
 
-Primal-dual and local-ratio share one finish step, `_finish`: reverse
-deletion on the solver's own claw-free `DegreeState`, then cost, θ and
-report. `solve(g, algorithm)` is the one entry point; it runs exact on
-g itself and the other two on a split graph's cross-edge shadow.
+Every deletion report goes through `_finish`, given a set already pruned
+on the solver's own `DegreeState` or by `reverse_delete`. `solve` is the
+one entry point: it reads g through `graphs.cross_edge_shadow`, and runs
+exact on g itself and the other two on a split graph's shadow.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from fractions import Fraction
 from math import gcd, inf, nextafter
 from typing import Iterable
 
-from . import reductions
 from .claws import DegreeState, centre_candidates, find_claw_split, prune, reverse_delete
-from .graphs import BipartiteGraph, SplitGraph, Weight
+from .graphs import BipartiteGraph, SplitGraph, Weight, cross_edge_shadow
 
 
 @dataclass(frozen=True)
@@ -116,13 +115,12 @@ def theta_of_solution(g: BipartiteGraph, solution: Iterable[int]) -> Fraction:
     return Fraction(2 * numer, total) if total else Fraction(0)
 
 
-def _finish(state: DegreeState, selected: list[int], lower: Fraction, algorithm: str,
-            iterations: int) -> SolveReport:
-    """Prune `selected` on the claw-free `state` in which exactly it is removed; report."""
-    g = state.g
-    solution = sorted(prune(selected, state.can_restore, state.restore))
-    return SolveReport(solution=tuple(solution), cost=g.total_weight(solution),
-                       dual_lower_bound=lower, theta=theta_of_solution(g, solution),
+def _finish(g: BipartiteGraph | SplitGraph, solution: Iterable[int], lower: Fraction,
+            algorithm: str, iterations: int) -> SolveReport:
+    """Report the pruned deletion set `solution` of g, with θ read on g's shadow."""
+    solution = tuple(sorted(solution))
+    return SolveReport(solution=solution, cost=g.total_weight(solution), dual_lower_bound=lower,
+                       theta=theta_of_solution(cross_edge_shadow(g), solution),
                        algorithm=algorithm, iterations=iterations)
 
 
@@ -297,7 +295,8 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
             low[v] = after(low_get(v, 0.0) - up, ninf)
             marks[v].append(k)
 
-    return _finish(state, [s.selected for s in trace], dual_lb, "primal-dual", len(trace)), trace
+    solution = prune([s.selected for s in trace], state.can_restore, state.restore)
+    return _finish(g, solution, dual_lb, "primal-dual", len(trace)), trace
 
 
 def local_ratio_solve(g: BipartiteGraph) -> SolveReport:
@@ -335,7 +334,8 @@ def local_ratio_solve(g: BipartiteGraph) -> SolveReport:
                 state.remove(v)
                 selected.append(v)
 
-    return _finish(state, selected, Fraction(lower), "local-ratio", rounds)
+    solution = prune(selected, state.can_restore, state.restore)
+    return _finish(g, solution, Fraction(lower), "local-ratio", rounds)
 
 
 def exact_solve(g: BipartiteGraph | SplitGraph) -> SolveReport:
@@ -348,11 +348,7 @@ def exact_solve(g: BipartiteGraph | SplitGraph) -> SolveReport:
     from .oracle import exact_min_deletion_set
 
     raw, opt = exact_min_deletion_set(g)
-    solution = sorted(reverse_delete(g, raw))
-    shadow = g if isinstance(g, BipartiteGraph) else reductions.cross_edge_shadow(g)
-    return SolveReport(solution=tuple(solution), cost=g.total_weight(solution),
-                       dual_lower_bound=opt, theta=theta_of_solution(shadow, solution),
-                       algorithm="exact", iterations=0)
+    return _finish(g, reverse_delete(g, raw), opt, "exact", 0)
 
 
 def max_subgraph_solve(g: BipartiteGraph | SplitGraph) -> tuple[tuple[int, ...], Fraction]:
@@ -397,9 +393,11 @@ def solve(
     and local-ratio run on its cross-edge bipartite shadow, and the set
     found is re-verified on the split graph; a claw left there (one
     that uses a clique vertex as a leaf) raises ShadowMismatchError.
+    Any g but a bipartite or split graph raises TypeError.
     """
     clock = time.perf_counter
     started = clock()
+    shadow = cross_edge_shadow(g)
     trace = None
     if algorithm == "max-subgraph":
         kept, weight = max_subgraph_solve(g)
@@ -407,10 +405,10 @@ def solve(
                              algorithm=algorithm, iterations=0)
     elif algorithm not in _DELETION_SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    elif isinstance(g, BipartiteGraph) or algorithm == "exact":
+    elif shadow is g or algorithm == "exact":
         report, trace = _DELETION_SOLVERS[algorithm](g)
     else:
-        report, trace = _DELETION_SOLVERS[algorithm](reductions.cross_edge_shadow(g))
+        report, trace = _DELETION_SOLVERS[algorithm](shadow)
         witness = find_claw_split(g, report.solution)
         if witness is not None:
             raise ShadowMismatchError(report.solution, witness)

@@ -178,6 +178,7 @@ def test_derived_graphs_share_the_parts_checked_at_construction(monkeypatch):
     for g, twin, split, shadow in zip(sources, twins, splits, shadows):
         assert split == twin and split.adj == twin.adj and split.touched == twin.touched
         assert shadow == g and shadow.adj == g.adj and shadow.touched == g.touched
+        assert cross_edge_shadow(g) is g  # a bipartite graph is its own shadow
         assert "cross_edges" not in split.__dict__ and "edges" not in shadow.__dict__
         for source, derived in ((g, split), (twin, shadow)):
             assert derived.adj is source.adj

@@ -9,6 +9,7 @@ import reference_solvers as ref
 from clawdel import (
     BipartiteGraph,
     GenSpec,
+    Hypergraph,
     PolymatroidContext,
     ShadowMismatchError,
     SplitGraph,
@@ -398,6 +399,12 @@ def test_split_solve_raises_on_shadow_mismatch():
     with pytest.raises(ShadowMismatchError) as err:
         solve(h, "primal-dual")
     assert err.value.witness.center == 1
+
+
+@pytest.mark.parametrize("algorithm", solvers.ALGORITHMS)
+def test_solve_refuses_a_hypergraph_with_a_type_error(algorithm):
+    with pytest.raises(TypeError, match="^expected a bipartite or split graph, got Hypergraph$"):
+        solve(Hypergraph(3, 3, ((1, 2, 3),)), algorithm)
 
 
 def test_split_max_subgraph(h2):
