@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import BipartiteGraph, SplitGraph
+from .graphs import BipartiteGraph, SplitGraph, cross_edge_shadow
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,9 @@ def find_claw_split(h: SplitGraph, removed: Iterable[int] = ()) -> ClawWitness |
 
 def is_feasible(g: BipartiteGraph | SplitGraph, solution: Iterable[int]) -> bool:
     """True iff removing `solution` leaves the graph claw free."""
-    if isinstance(g, BipartiteGraph):
+    if cross_edge_shadow(g) is g:
         return find_claw(g, solution) is None
-    if isinstance(g, SplitGraph):
-        return find_claw_split(g, solution) is None
-    raise TypeError(f"expected a bipartite or split graph, got {type(g).__name__}")
+    return find_claw_split(g, solution) is None
 
 
 def centre_candidates(g: BipartiteGraph) -> list[int]:
@@ -222,14 +220,14 @@ def _restore_test(g: BipartiteGraph | SplitGraph, removed: set[int], infeasible:
     rescans `removed` with `find_claw_split` on every test. Raises
     ValueError(infeasible) when `removed` leaves a claw.
     """
-    if isinstance(g, BipartiteGraph):
+    if cross_edge_shadow(g) is g:
         state = DegreeState(g, removed)
         if state.centres:
             raise ValueError(infeasible)
         return state.can_restore, state.restore
-    if not is_feasible(g, removed):
+    if find_claw_split(g, removed) is not None:
         raise ValueError(infeasible)
-    return (lambda v: is_feasible(g, removed - {v})), removed.discard
+    return (lambda v: find_claw_split(g, removed - {v}) is None), removed.discard
 
 
 def is_minimal(g: BipartiteGraph | SplitGraph, solution: Iterable[int]) -> bool:

@@ -50,7 +50,7 @@ from .solvers import ALGORITHMS, ShadowMismatchError, SolveReport, solve
 
 # Each kind: source class, least t, the requirement named when the input
 # falls short, and the construction, looked up when called (as in
-# `solvers._DELETION_SOLVERS`), so a wrapper replacing it here sees the call.
+# `solvers._SOLVERS`), so a wrapper replacing it here sees the call.
 REDUCTIONS = {
     "hvc-osbcd": (Hypergraph, 3, "a 'p hyp' instance with t >= 3",
                   lambda g: from_hypergraph_cover(g)),

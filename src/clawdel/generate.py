@@ -135,15 +135,12 @@ def _hyp_uniform(rng: random.Random, spec: GenSpec, n: int, m: int) -> Hypergrap
     if all(comb(n, k) < m for k in range(t + 1)):
         raise ValueError(f"cannot place {m} hyperedges in a {t}-uniform hypergraph on {n} vertices")
     population = list(range(1, n + 1))
-    for _ in range(RETRY_CAP):
+    for _ in range(RETRY_CAP):  # a try is retried only for the disjoint-partner property
         drawn: dict[tuple[int, ...], None] = {}  # a set that keeps the draw order
-        repeats = 0  # a try ends after RETRY_CAP draws of a hyperedge it has
-        while len(drawn) < m and repeats < RETRY_CAP:
-            e = tuple(sorted(rng.sample(population, t)))
-            repeats += e in drawn
-            drawn[e] = None
+        while len(drawn) < m:  # ends, as m <= C(n, t) was checked above
+            drawn[tuple(sorted(rng.sample(population, t)))] = None
         hyperedges = tuple(drawn)
-        if len(hyperedges) == m and next(_without_disjoint_partner(hyperedges), None) is None:
+        if next(_without_disjoint_partner(hyperedges), None) is None:
             return Hypergraph._from_checked(n, t, hyperedges)
     raise ValueError("retry budget exhausted while sampling a uniform hypergraph")
 

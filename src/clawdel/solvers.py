@@ -21,10 +21,11 @@ a dynamic filter for an exact predicate (Brönnimann, Burnikel and Pion,
 2001). Every amount, bound and level is an exact rational: see `_key`
 and `_floor_level` for the two kinds of heap key.
 
-Every deletion report goes through `_finish`, given a set already pruned
-on the solver's own `DegreeState` or by `reverse_delete`. `solve` is the
-one entry point: it reads g through `graphs.cross_edge_shadow`, and runs
-exact on g itself and the other two on a split graph's shadow.
+Every solver takes a bipartite or split graph and reads it through
+`graphs.cross_edge_shadow`. Every deletion report goes through
+`_finish`, given a set already pruned on the solver's own `DegreeState`
+or by `reverse_delete`; on a split graph it re-checks the set there
+first. `solve` looks a solver up in `_SOLVERS` by name and times it.
 """
 
 from __future__ import annotations
@@ -117,10 +118,17 @@ def theta_of_solution(g: BipartiteGraph, solution: Iterable[int]) -> Fraction:
 
 def _finish(g: BipartiteGraph | SplitGraph, solution: Iterable[int], lower: Fraction,
             algorithm: str, iterations: int) -> SolveReport:
-    """Report the pruned deletion set `solution` of g, with θ read on g's shadow."""
+    """Report the pruned deletion set `solution` of g, with θ read on g's shadow.
+
+    On a split graph a set that leaves a claw there (one that uses a
+    clique vertex as a leaf) raises ShadowMismatchError before θ is read.
+    """
     solution = tuple(sorted(solution))
+    shadow = cross_edge_shadow(g)
+    if shadow is not g and (witness := find_claw_split(g, solution)) is not None:
+        raise ShadowMismatchError(solution, witness)
     return SolveReport(solution=solution, cost=g.total_weight(solution), dual_lower_bound=lower,
-                       theta=theta_of_solution(cross_edge_shadow(g), solution),
+                       theta=theta_of_solution(shadow, solution),
                        algorithm=algorithm, iterations=iterations)
 
 
@@ -180,7 +188,7 @@ def _fold(num: int, den: int, marks: list[int],
     return num, den
 
 
-def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
+def primal_dual_solve(g: BipartiteGraph | SplitGraph) -> tuple[SolveReport, list[TraceStep]]:
     """Primal-dual deletion solver with reverse deletion.
 
     Each iteration raises the dual variable of the current active set S
@@ -222,11 +230,12 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
       and ties still go to the lowest id.
 
     A bound that overflows is -inf and takes the exact path. Every raise
-    amount, bound and trace entry is exact.
+    amount, bound and trace entry is exact. A split graph is solved on
+    its shadow, whose parts (`t`, `adj`, weights, `touched`) are g's own.
     """
+    state = DegreeState(cross_edge_shadow(g))
     t, adj, weight = g.t, g.adj, g.weight
     heappop, heapreplace = heapq.heappop, heapq.heapreplace
-    state = DegreeState(g)
     alive, deg = state.alive, state.deg
     coeff = state.coefficients()
     rank = sum(coeff[a] for a in state.candidates)  # dual_rank(E[S])
@@ -299,7 +308,7 @@ def primal_dual_solve(g: BipartiteGraph) -> tuple[SolveReport, list[TraceStep]]:
     return _finish(g, solution, dual_lb, "primal-dual", len(trace)), trace
 
 
-def local_ratio_solve(g: BipartiteGraph) -> SolveReport:
+def local_ratio_solve(g: BipartiteGraph | SplitGraph) -> SolveReport:
     """Local-ratio baseline: repeatedly zero out a surviving claw.
 
     Subtracts the minimum residual weight over the t + 1 vertices of a
@@ -312,9 +321,10 @@ def local_ratio_solve(g: BipartiteGraph) -> SolveReport:
     `state.candidates`. Only vertices with an edge join a witness, so
     only they get a residual weight. Residuals and the bound stay `int`
     while every weight is integral; the bound is reported as a `Fraction`.
+    A split graph is solved on its shadow, as in `primal_dual_solve`.
     """
+    state = DegreeState(cross_edge_shadow(g))
     residual = {v: g.weight(v) for v in g.touched}
-    state = DegreeState(g)
     candidates = state.candidates
     selected: list[int] = []
     rounds = lower = i = 0
@@ -361,27 +371,29 @@ def max_subgraph_solve(g: BipartiteGraph | SplitGraph) -> tuple[tuple[int, ...],
     the winner always induces a claw-free subgraph. Ties prefer V minus
     S, then the A or clique side. Only the winner's ids are listed.
     """
-    candidates = [(side, g.total_weight(side)) for side in g.sides]
     try:
-        report = solve(g, "primal-dual")[0]
+        report = primal_dual_solve(g)[0]  # first, so any other g raises TypeError
     except ShadowMismatchError:
-        pass
+        candidates = []
     else:
         deleted = set(report.solution)
-        candidates.insert(0, ((v for v in g.vertices if v not in deleted),
-                              g.total_weight(g.vertices) - report.cost))
+        candidates = [((v for v in g.vertices if v not in deleted),
+                       g.total_weight(g.vertices) - report.cost)]
+    candidates += [(side, g.total_weight(side)) for side in g.sides]
     pick, weight = max(candidates, key=lambda c: c[1])  # the first of equal weights
     return tuple(pick), weight
 
 
 # Each entry looks its solver up when called, so a module attribute
 # replaced at run time (a profiler's wrapper, say) is the one that runs.
-_DELETION_SOLVERS = {
+_SOLVERS = {
     "primal-dual": lambda g: primal_dual_solve(g),
     "local-ratio": lambda g: (local_ratio_solve(g), None),
     "exact": lambda g: (exact_solve(g), None),
+    "max-subgraph": lambda g: (SolveReport(*max_subgraph_solve(g), None, None, "max-subgraph", 0),
+                               None),
 }
-ALGORITHMS = (*_DELETION_SOLVERS, "max-subgraph")
+ALGORITHMS = tuple(_SOLVERS)
 
 
 def solve(
@@ -389,27 +401,12 @@ def solve(
 ) -> tuple[SolveReport, list[TraceStep] | None]:
     """Run one of `ALGORITHMS` on g, timed; only primal-dual returns a trace.
 
-    exact runs on g itself, split or not. On a split graph primal-dual
-    and local-ratio run on its cross-edge bipartite shadow, and the set
-    found is re-verified on the split graph; a claw left there (one
-    that uses a clique vertex as a leaf) raises ShadowMismatchError.
-    Any g but a bipartite or split graph raises TypeError.
+    The report is the solver's own with `elapsed_s` set. An unknown name
+    raises ValueError; any g but a bipartite or split graph, TypeError.
     """
+    if algorithm not in _SOLVERS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     clock = time.perf_counter
     started = clock()
-    shadow = cross_edge_shadow(g)
-    trace = None
-    if algorithm == "max-subgraph":
-        kept, weight = max_subgraph_solve(g)
-        report = SolveReport(solution=kept, cost=weight, dual_lower_bound=None, theta=None,
-                             algorithm=algorithm, iterations=0)
-    elif algorithm not in _DELETION_SOLVERS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    elif shadow is g or algorithm == "exact":
-        report, trace = _DELETION_SOLVERS[algorithm](g)
-    else:
-        report, trace = _DELETION_SOLVERS[algorithm](shadow)
-        witness = find_claw_split(g, report.solution)
-        if witness is not None:
-            raise ShadowMismatchError(report.solution, witness)
+    report, trace = _SOLVERS[algorithm](g)
     return replace(report, elapsed_s=clock() - started), trace

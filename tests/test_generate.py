@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from clawdel import (
@@ -62,6 +64,13 @@ def test_hyp_uniform_counts_only_repeated_draws_against_a_try():
     # more hyperedges than RETRY_CAP: a cap on every draw ended each try short of m
     hy = generate(GenSpec("hyp-uniform", 3, 1, {"n": 200, "m": 10_001}))
     assert hy.m == len(set(hy.hyperedges)) == 10_001
+
+
+def test_hyp_uniform_draws_every_t_set_when_m_is_all_of_them():
+    # m = C(24, 3): one try draws every triple, though the last few take more than
+    # RETRY_CAP repeated draws
+    hy = generate(GenSpec("hyp-uniform", 3, 1, {"n": 24, "m": 2024}))
+    assert sorted(hy.hyperedges) == list(combinations(range(1, 25), 3))
 
 
 def test_regular_graph_family():

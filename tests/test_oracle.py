@@ -20,7 +20,7 @@ from clawdel import (
     is_minimal,
     primal_dual_solve,
 )
-from clawdel.reductions import cross_edge_shadow
+from clawdel.graphs import cross_edge_shadow
 from conftest import random_bipartite, random_split, spy_on_search
 
 

@@ -25,7 +25,7 @@ from clawdel import (
     to_split,
     write_map,
 )
-from clawdel.reductions import cross_edge_shadow
+from clawdel.graphs import cross_edge_shadow
 from conftest import count_validations, random_bipartite
 
 

@@ -1,6 +1,8 @@
 import math
 import random
+import re
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -405,6 +407,39 @@ def test_split_solve_raises_on_shadow_mismatch():
 def test_solve_refuses_a_hypergraph_with_a_type_error(algorithm):
     with pytest.raises(TypeError, match="^expected a bipartite or split graph, got Hypergraph$"):
         solve(Hypergraph(3, 3, ((1, 2, 3),)), algorithm)
+
+
+@pytest.mark.parametrize("solver", [primal_dual_solve, local_ratio_solve, exact_solve,
+                                    max_subgraph_solve])
+def test_each_solver_refuses_a_hypergraph_with_a_type_error(solver):
+    with pytest.raises(TypeError, match="^expected a bipartite or split graph, got Hypergraph$"):
+        solver(Hypergraph(3, 3, ((1, 2, 3),)))
+
+
+def test_solve_checks_the_name_before_the_graph():
+    with pytest.raises(ValueError, match="^unknown algorithm 'simplex'$"):
+        solve(Hypergraph(3, 3, ((1, 2, 3),)), "simplex")
+
+
+def test_split_solvers_called_directly_report_what_solve_does():
+    """On three split-random shapes, seeds 0-29: solve's report, time aside, or its refusal."""
+    direct = {"primal-dual": primal_dual_solve,
+              "local-ratio": lambda h: (local_ratio_solve(h), None)}
+    outcomes = {"solved": 0, "refused": 0}
+    for nc, ni, m in ((6, 10, 20), (10, 20, 60), (20, 40, 200)):
+        for seed in range(30):
+            h = generate(GenSpec("split-random", 3, seed, {"nc": nc, "ni": ni, "m": m}))
+            for algorithm, run in direct.items():
+                try:
+                    report, trace = solve(h, algorithm)
+                except ShadowMismatchError as err:
+                    outcomes["refused"] += 1
+                    with pytest.raises(ShadowMismatchError, match=f"^{re.escape(str(err))}$"):
+                        run(h)
+                else:
+                    outcomes["solved"] += 1
+                    assert run(h) == (replace(report, elapsed_s=0.0), trace)
+    assert outcomes["solved"] and outcomes["refused"]  # both paths are taken
 
 
 def test_split_max_subgraph(h2):
