@@ -125,15 +125,15 @@ def _bip_dense(rng: random.Random, spec: GenSpec, na: int, nb: int) -> Bipartite
 def _hyp_uniform(rng: random.Random, spec: GenSpec, n: int, m: int) -> Hypergraph:
     t = spec.t
     if n < 2 * t or m < 2:
-        raise ValueError(
-            "disjoint-counterpart property needs n >= 2t and m >= 2 "
-            f"(got n={n}, m={m}, t={t})"
-        )
+        raise ValueError("disjoint-counterpart property needs n >= 2t and m >= 2 "
+                         f"(got n={n}, m={m}, t={t})")
     if t < 2:
         raise ValueError(f"uniformity must be >= 2, got {t}")
     # C(n, k) rises with k up to n/2 >= t, so this is m > C(n, t) without computing it
     if all(comb(n, k) < m for k in range(t + 1)):
         raise ValueError(f"cannot place {m} hyperedges in a {t}-uniform hypergraph on {n} vertices")
+    if n == 2 * t and m % 2:  # a t-set's only disjoint partner is then its complement
+        raise ValueError(f"at n = 2t each hyperedge needs its complement: m must be even, got {m}")
     population = list(range(1, n + 1))
     for _ in range(RETRY_CAP):  # a try is retried only for the disjoint-partner property
         drawn: dict[tuple[int, ...], None] = {}  # a set that keeps the draw order

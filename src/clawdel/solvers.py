@@ -16,10 +16,11 @@ a coefficient fall only moves the offset. Its exact value is needed
 only for a vertex that reaches the top of the heap: a fall costs one
 float subtraction, rounded down, on a lower bound of the offset, and
 records the raise index; the exact offset is folded from those indices
-when the float bound cannot settle which vertex is tight next. This is
-a dynamic filter for an exact predicate (Brönnimann, Burnikel and Pion,
-2001). Every amount, bound and level is an exact rational: see `_key`
-and `_floor_level` for the two kinds of heap key.
+when the float bound cannot settle which vertex is tight next, with no
+gcd, as each raise multiplies the offsets' common denominator by an
+integer (see `_fold`). This is a dynamic filter for an exact predicate
+(Brönnimann, Burnikel and Pion, 2001). Every amount, bound and level is
+an exact rational: see `_key` and `_floor_level` for the two heap keys.
 
 Every solver takes a bipartite or split graph and reads it through
 `graphs.cross_edge_shadow`. Every deletion report goes through
@@ -173,18 +174,17 @@ def _floor_level(w: Weight, low: float, c: int) -> float:
 
 def _fold(num: int, den: int, marks: list[int],
           twice: list[tuple[int, int]]) -> tuple[int, int]:
-    """num/den minus twice[k] for each raise index k in `marks`, in lowest terms.
+    """num/den minus twice[k] for each raise index k in `marks`, not in lowest terms.
 
-    Each step is `Fraction`'s own subtraction rule, done on the integer
-    pairs so that no `Fraction` is built.
+    twice[k] is 2 * raised over the chain at raise k, the lcm of the levels' denominators
+    so far, which a raise multiplies by an integer: den (an earlier chain, or 1) divides it.
     """
     for k in marks:
         tn, td = twice[k]
-        g1 = gcd(den, td)
-        s = den // g1
-        num = num * (td // g1) - tn * s
-        g2 = gcd(num, g1)
-        num, den = num // g2, s * (td // g2)
+        if td != den:
+            num *= td // den
+            den = td
+        num -= tn
     return num, den
 
 
@@ -196,8 +196,7 @@ def primal_dual_solve(g: BipartiteGraph | SplitGraph) -> tuple[SolveReport, list
     id; zero-weight vertices with a positive coefficient are tight at a
     zero raise), moves that vertex into the preliminary solution and
     out of S, and repeats while the preliminary solution is infeasible.
-    Reverse deletion then prunes the preliminary solution to a minimal
-    one.
+    Reverse deletion then prunes it to a minimal one.
 
     With `raised` the total raise so far, a vertex of weight w and
     coefficient c has paid c * raised - offset and is tight at level
@@ -211,7 +210,9 @@ def primal_dual_solve(g: BipartiteGraph | SplitGraph) -> tuple[SolveReport, list
     fall appends the raise index to `marks[v]` and does no exact
     arithmetic. A vertex with marks has a stale key: marks are folded
     only as an exact key is made. Coefficients only fall, so levels
-    only rise and a stale key never overstates its vertex's level.
+    only rise and a stale key never overstates its vertex's level. The
+    offsets, 2 * raised and the bound are numerators over `chain`, the lcm of
+    the levels' denominators so far, which each raise multiplies by an integer.
 
     The heap holds one key per vertex: a lower bound `(lb, 0, id)` from
     `_floor_level`, or an exact `_key` `(prefix, 1, level, id)`. Each is
@@ -241,12 +242,12 @@ def primal_dual_solve(g: BipartiteGraph | SplitGraph) -> tuple[SolveReport, list
     rank = sum(coeff[a] for a in state.candidates)  # dual_rank(E[S])
     low: dict[int, float] = {}  # float lower bound of each offset; absent is 0
     marks = defaultdict(list)  # raise indices of the falls not yet in `offset`
-    offset: dict[int, tuple[int, int]] = {}  # numerator, denominator; absent is 0
-    twice: list[tuple[int, int]] = []  # 2 * raised after each raise
+    offset = defaultdict(lambda: (0, 1))  # numerator over a chain value, and that value
+    twice: list[tuple[int, int]] = []  # 2 * raised after each raise, over the chain
     after, ninf, low_get = nextafter, -inf, low.get  # for the fall loop
     heap = [(_floor_level(weight(v), 0.0, coeff[v]), 0, v) for v in g.touched if coeff[v]]
     heapq.heapify(heap)
-    raised = dual_lb = Fraction(0)
+    chain, rnum, lbnum = 1, 0, 0  # raised and dual_rank-weighted sum over the chain
     trace: list[TraceStep] = []
 
     while state.centres:
@@ -263,9 +264,7 @@ def primal_dual_solve(g: BipartiteGraph | SplitGraph) -> tuple[SolveReport, list
                     heapreplace(heap, (lb, 0, tight))
                     continue
             w = weight(tight)
-            num, den = offset.get(tight, (0, 1))
-            if tight in marks:
-                num, den = offset[tight] = _fold(num, den, marks.pop(tight), twice)
+            num, den = offset[tight] = _fold(*offset[tight], marks.pop(tight, ()), twice)
             level = Fraction(w.numerator * den + num * w.denominator, w.denominator * den * c)
             key = _key(level, tight)
             n = len(heap)
@@ -275,17 +274,18 @@ def primal_dual_solve(g: BipartiteGraph | SplitGraph) -> tuple[SolveReport, list
         else:
             level = key[2]
         heappop(heap)
-        eps = level - raised
-        raised = level
+        ln, ld = level.numerator, level.denominator
+        grow = ld // gcd(chain, ld)  # the chain becomes lcm(chain, ld)
+        chain, rnum, lbnum = chain * grow, rnum * grow, lbnum * grow
+        eps = ln * (chain // ld) - rnum  # the raise amount over the chain
+        rnum, lbnum = rnum + eps, lbnum + eps * rank
         k = len(twice)
-        tn, td = (2 * raised).as_integer_ratio()
-        twice.append((tn, td))
+        twice.append((2 * rnum, chain))
         try:
-            up = tn / td  # the float nearest 2 * raised
+            up = 2 * ln / ld  # the float nearest 2 * raised
         except OverflowError:
             up = inf
-        dual_lb += eps * rank
-        trace.append(TraceStep(amount=eps, selected=tight))
+        trace.append(TraceStep(amount=Fraction(eps, chain), selected=tight))
 
         # A centre that loses an edge loses 2; one that leaves S or falls to
         # degree t - 1 also takes 2 from each alive B-neighbour.
@@ -305,7 +305,7 @@ def primal_dual_solve(g: BipartiteGraph | SplitGraph) -> tuple[SolveReport, list
             marks[v].append(k)
 
     solution = prune([s.selected for s in trace], state.can_restore, state.restore)
-    return _finish(g, solution, dual_lb, "primal-dual", len(trace)), trace
+    return _finish(g, solution, Fraction(lbnum, chain), "primal-dual", len(trace)), trace
 
 
 def local_ratio_solve(g: BipartiteGraph | SplitGraph) -> SolveReport:

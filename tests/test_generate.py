@@ -60,6 +60,18 @@ def test_hyp_uniform_refuses_more_hyperedges_than_exist():
     assert len(set(generate(GenSpec("hyp-uniform", 3, 1, {"n": 6, "m": 20})).hyperedges)) == 20
 
 
+def test_hyp_uniform_refuses_odd_m_at_n_equal_to_2t():
+    # a t-set's only disjoint partner among n = 2t vertices is its complement, so
+    # odd m is refused before anything is drawn; C(8, 4) - 1 = 69 spent every try
+    for t, m in ((3, 3), (3, 17), (3, 19), (4, 69)):
+        with pytest.raises(ValueError, match=r"^at n = 2t each hyperedge needs its "
+                                             rf"complement: m must be even, got {m}$"):
+            generate(GenSpec("hyp-uniform", t, 1, {"n": 2 * t, "m": m}))
+    hy = generate(GenSpec("hyp-uniform", 3, 1, {"n": 6, "m": 18}))
+    drawn = set(map(frozenset, hy.hyperedges))
+    assert {frozenset(range(1, 7)) - e for e in drawn} == drawn  # closed under complement
+
+
 def test_hyp_uniform_counts_only_repeated_draws_against_a_try():
     # more hyperedges than RETRY_CAP: a cap on every draw ended each try short of m
     hy = generate(GenSpec("hyp-uniform", 3, 1, {"n": 200, "m": 10_001}))

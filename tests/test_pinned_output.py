@@ -10,10 +10,15 @@ graph, and a seed-0 graph the exact oracle refuses (exit 3, blank
 `opt`). It also holds the `gen` bytes of the generated instances, the
 `reduce` output and map bytes of both split reductions, and the exit
 code and stderr of `solve` on malformed `p bip` and `p split` text.
-Any diff here is a change of the CLI contract.
+Every one of those instances has at most ~30 vertices, so the
+primal-dual `--json` and `--trace` bytes of a 70x140 bip-dense graph
+with 1:9 weights, whose raise levels have ~300-bit denominators, are
+pinned too, as SHA-256 digests. Any diff here is a change of the CLI
+contract.
 """
 
 import contextlib
+import hashlib
 import io
 import re
 
@@ -289,3 +294,21 @@ def test_malformed_solve_is_pinned(tmp_path, name):
     path = tmp_path / name
     path.write_text(MALFORMED[name], encoding="utf-8")
     assert run(["solve", "--alg", "primal-dual", "--input", str(path)]) == MALFORMED_SOLVE[name]
+
+
+DENSE_GEN = ["gen", "--family", "bip-dense", "--seed", "1", "--t", "3", "--weights", "1:9",
+             "--na", "70", "--nb", "140"]
+DENSE_SHA256 = {
+    "json": "b9fcfed1447dc8fed97ffee95e62994fab1d7a8bd19ce87a39bad09506ba05d0",
+    "trace": "b7be1607378eb79c627c50e9413659de4f4a371a3e90b24d0b0ee55847278d4a",
+}
+
+
+def test_primal_dual_bytes_of_a_dense_weighted_graph_are_pinned(tmp_path):
+    path = tmp_path / "dense.bip"
+    assert run([*DENSE_GEN, "--output", str(path)]) == (0, "", "")
+    code, out, err = solve_json(path, "primal-dual")
+    assert (code, err, hashlib.sha256(out.encode()).hexdigest()) == (0, "", DENSE_SHA256["json"])
+    code, text, err = solve_trace(path, tmp_path / "trace.txt")
+    assert (code, err, len(text)) == (0, "", 79_335)
+    assert hashlib.sha256(text.encode()).hexdigest() == DENSE_SHA256["trace"]

@@ -225,6 +225,30 @@ def test_a_fall_rounds_its_float_offset_down():
     assert report == expected
 
 
+def _divisibility_chain(rng, length):
+    """`length` raises: a numerator of 2 * raised over a chain value that divides each later one."""
+    chain, twice = 1, []
+    for _ in range(length):
+        chain *= rng.choice((1, 1, 1, 2, 3, 7, rng.randrange(2, 10**12)))
+        twice.append((rng.randrange(-10**40, 10**40), chain))
+    return twice
+
+
+@pytest.mark.parametrize("n_marks", [1, 30])
+def test_fold_subtracts_exactly_over_a_divisibility_chain(n_marks):
+    rng = random.Random(n_marks)
+    for _ in range(200):
+        twice = _divisibility_chain(rng, 60)
+        first = rng.randrange(-1, 60 - n_marks)  # den is 1 or the chain before the first mark
+        den = 1 if first < 0 else twice[first][1]
+        num = rng.randrange(-10**50, 10**50)
+        marks = sorted(rng.sample(range(first + 1, 60), n_marks))
+        expected = Fraction(num, den) - sum(Fraction(*twice[k]) for k in marks)
+        folded = solvers._fold(num, den, marks, twice)
+        assert Fraction(*folded) == expected
+        assert folded[1] == twice[marks[-1]][1]  # over the last mark's chain value
+
+
 @pytest.mark.parametrize("weights", [("unit",), ("uniform", 0, 9)])
 def test_reports_keep_fraction_fields_on_integral_weights(weights):
     # weights are stored as ints; costs, bounds, theta and raise amounts stay Fractions
@@ -258,6 +282,24 @@ def test_primal_dual_dual_feasibility_and_tightness():
             assert paid[v] <= g.weight(v)
         for v in selected:
             assert paid[v] == g.weight(v)
+
+
+@pytest.mark.parametrize("family, sizes", [("bip-random", {"na": 9, "nb": 16, "m": 55}),
+                                           ("bip-dense", {"na": 20, "nb": 40})])
+@pytest.mark.parametrize("weights", [("unit",), ("uniform", 1, 9)])
+def test_primal_dual_scales_with_its_weights(family, sizes, weights):
+    """Every weight times k: the same picks, and cost, bound and raise amounts times k."""
+    for seed in range(20):
+        g = generate(GenSpec(family, 3, seed, sizes, weights))
+        report, trace = primal_dual_solve(g)
+        for k in (3, Fraction(7, 5)):
+            scaled = BipartiteGraph(g.n_a, g.n_b, g.edges, g.t,
+                                    {v: k * g.weight(v) for v in g.vertices})
+            got, got_trace = primal_dual_solve(scaled)
+            assert [s.selected for s in got_trace] == [s.selected for s in trace]
+            assert [s.amount for s in got_trace] == [k * s.amount for s in trace]
+            assert got == replace(report, cost=k * report.cost,
+                                  dual_lower_bound=k * report.dual_lower_bound)
 
 
 def test_weak_duality_against_oracle():
