@@ -29,6 +29,7 @@ from .formats import (
     serialize_hypergraph,
     serialize_split,
     sniff_format,
+    write_instance,
 )
 from .generate import GenSpec, generate, provenance
 from .graphs import (
@@ -140,5 +141,6 @@ __all__ = [
     "to_bipartite",
     "to_split",
     "vertex_degrees",
+    "write_instance",
     "write_map",
 ]

@@ -28,14 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .claws import is_feasible, is_minimal
-from .formats import (
-    ParseError,
-    int_field,
-    parse_auto,
-    serialize_bipartite,
-    serialize_hypergraph,
-    serialize_split,
-)
+from .formats import ParseError, int_field, parse_auto, write_instance
 from .generate import FAMILIES, GenSpec, generate, provenance
 from .graphs import BipartiteGraph, Hypergraph, SplitGraph
 from .oracle import OracleLimitError
@@ -62,11 +55,9 @@ REDUCTIONS = {
 BENCH_FIELDS = ("instance", "algorithm", "t", "cost", "lower_bound", "opt", "ratio", "theta",
                 "time_ms")
 
-_SERIALIZERS = {
-    BipartiteGraph: serialize_bipartite,
-    SplitGraph: serialize_split,
-    Hypergraph: serialize_hypergraph,
-}
+# The writer of each instance kind, looked up when called (as `REDUCTIONS`
+# is), so a wrapper replacing it here sees the call.
+_SERIALIZERS = dict.fromkeys((BipartiteGraph, SplitGraph, Hypergraph), write_instance)
 
 
 class _CliError(Exception):
@@ -202,7 +193,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
     for warning in rmap.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    Path(args.output).write_text(_SERIALIZERS[type(out)](out), encoding="utf-8")
+    _SERIALIZERS[type(out)](args.output, out)
     if args.map:
         Path(args.map).write_text(write_map(rmap), encoding="utf-8")
     return 0
@@ -228,8 +219,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         graph = generate(spec)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
-    text = _SERIALIZERS[type(graph)](graph, comments=[provenance(spec)])
-    Path(args.output).write_text(text, encoding="utf-8")
+    _SERIALIZERS[type(graph)](args.output, graph, comments=[provenance(spec)])
     return 0
 
 

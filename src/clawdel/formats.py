@@ -42,6 +42,11 @@ order. Hyperedges keep their list order with vertices ascending inside
 each. For every graph g, parse(serialize(g)) == g, and serialization is
 the normal form of the format: serialize(parse(s)) == s whenever s is
 already canonical.
+
+The text is made in pieces that each end in "\\n": the comments, header
+and weights, then a row of edges, up to 1,024 ids of a run of equal
+rows, or up to 1,024 hyperedges. `write_instance` writes each piece to
+the file as it is made; `serialize_*` returns their join.
 """
 
 from __future__ import annotations
@@ -49,8 +54,9 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from fractions import Fraction
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import add, lt, mul, ne
+from os import PathLike
 from typing import Iterator
 
 from .graphs import (BipartiteGraph, Hypergraph, SplitGraph, Weight, _check_hyperedge,
@@ -369,22 +375,21 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
 
 
 def _comment_block(comments: tuple[str, ...] | list[str]) -> list[str]:
-    return [f"# {c}" for c in comments]
+    return [f"# {c}\n" for c in comments]
 
 
-def _serialize_two_sided(
+def _two_sided_pieces(
     g: BipartiteGraph | SplitGraph, kind: str, comments: tuple[str, ...] | list[str]
-) -> str:
+) -> Iterator[str]:
+    """The canonical text of `g`: the header and weight lines, then `_edge_lines`."""
     first, second = g.sides
-    lines = _comment_block(comments)
-    m = sum(map(len, g.adj[first.start:first.stop]))
-    lines.append(f"p {kind} {len(first)} {len(second)} {m} {g.t}")
-    lines.extend(f"n {v} {g.weights[v]}" for v in sorted(g.weights))
-    lines.extend(_edge_lines(g.adj, first))
-    return "\n".join(lines) + "\n"
+    m = sum(map(len, islice(g.adj, first.start, first.stop)))
+    yield "".join([*_comment_block(comments), f"p {kind} {len(first)} {len(second)} {m} {g.t}\n",
+                   *(f"n {v} {g.weights[v]}\n" for v in sorted(g.weights))])
+    yield from _edge_lines(g.adj, first)
 
 
-# The most first-side ids whose lines one string of `_edge_lines` holds.
+# The most first-side ids, or hyperedges, whose lines one piece holds.
 _RUN_CHUNK = 1024
 
 
@@ -394,9 +399,8 @@ def _edge_lines(adj: list[tuple[int, ...]], first: range) -> Iterator[str]:
     A run is a stretch of consecutive ids with equal rows, such as a
     hypergraph-cover gadget. Each chunk of a run comes from one `%`
     format: the row's template, repeated, over the ids, each repeated
-    once per neighbour. Any other row is one string too, not one per
-    edge: on rows of three edges this about halves the memory a large
-    graph's text takes on its way out.
+    once per neighbour. Any other row is one `%` format over the row,
+    not one string per edge. Each string ends in "\\n".
     """
     # The ids whose row differs from the one before; slot 0 is ().
     starts = [u for u in first if adj[u] != adj[u - 1]]
@@ -406,31 +410,48 @@ def _edge_lines(adj: list[tuple[int, ...]], first: range) -> Iterator[str]:
         if not row:
             continue
         if hi - lo == 1:
-            prefix = f"e {lo} "
-            yield prefix + ("\n" + prefix).join(map(str, row))
+            yield f"e {lo} %d\n" * len(row) % row
             continue
-        template, d = "\n".join([f"e %d {v}" for v in row]), len(row)
+        template, d = "".join([f"e %d {v}\n" for v in row]), len(row)
         for c in range(lo, hi, _RUN_CHUNK):
             ids = range(c, min(c + _RUN_CHUNK, hi))
             values = [0] * (len(ids) * d)
             for k in range(d):
                 values[k::d] = ids
-            yield "\n".join([template] * len(ids)) % tuple(values)
+            yield template * len(ids) % tuple(values)
+
+
+def _hypergraph_pieces(hy: Hypergraph, comments: tuple[str, ...] | list[str]
+                       ) -> Iterator[str]:
+    """The canonical text of `hy`: the header, then one `%` format per chunk of hyperedges."""
+    yield "".join([*_comment_block(comments), f"p hyp {hy.n} {hy.m} {hy.t}\n"])
+    line, edges = "h" + " %d" * hy.t + "\n", hy.hyperedges
+    for c in range(0, len(edges), _RUN_CHUNK):
+        chunk = edges[c:c + _RUN_CHUNK]
+        yield line * len(chunk) % tuple(chain.from_iterable(chunk))
 
 
 def serialize_bipartite(g: BipartiteGraph, comments: tuple[str, ...] | list[str] = ()) -> str:
-    return _serialize_two_sided(g, "bip", comments)
+    return "".join(_two_sided_pieces(g, "bip", comments))
 
 
 def serialize_split(h: SplitGraph, comments: tuple[str, ...] | list[str] = ()) -> str:
-    return _serialize_two_sided(h, "split", comments)
+    return "".join(_two_sided_pieces(h, "split", comments))
 
 
 def serialize_hypergraph(hy: Hypergraph, comments: tuple[str, ...] | list[str] = ()) -> str:
-    lines = _comment_block(comments)
-    lines.append(f"p hyp {hy.n} {hy.m} {hy.t}")
-    lines.extend("h " + " ".join(str(v) for v in e) for e in hy.hyperedges)
-    return "\n".join(lines) + "\n"
+    return "".join(_hypergraph_pieces(hy, comments))
+
+
+def write_instance(path: str | PathLike, g: BipartiteGraph | SplitGraph | Hypergraph,
+                   comments: tuple[str, ...] | list[str] = ()) -> None:
+    """Write the text `serialize_*` returns for `g` to `path`, a piece at a time."""
+    if isinstance(g, Hypergraph):
+        pieces = _hypergraph_pieces(g, comments)
+    else:
+        pieces = _two_sided_pieces(g, "split" if isinstance(g, SplitGraph) else "bip", comments)
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(pieces)
 
 
 def _sniff(text: str) -> tuple[str, int, list[str], int]:

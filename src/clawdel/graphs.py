@@ -93,7 +93,8 @@ def _finish_adjacency(
     second-side list is made. Walking the runs in order puts each
     first-side id in its neighbours' lists, so they come out sorted
     without a sort. A longer run extends each neighbour's list from one
-    list of its ids, so every list holds the same int objects.
+    list of its ids, so every list holds the same int objects. Each list
+    is dropped as its tuple is made, so not all of both are held at once.
     """
     adj: list[tuple[int, ...]] = [()] * (n_total + 1)
     columns: defaultdict[int, list[int]] = defaultdict(list)
@@ -112,9 +113,10 @@ def _finish_adjacency(
             first += us
             for v in row:
                 columns[v] += us
-    for v, us in columns.items():
-        adj[v] = tuple(us)
-    return adj, (*first, *sorted(columns))
+    second = sorted(columns)
+    for v in second:
+        adj[v] = tuple(columns.pop(v))
+    return adj, (*first, *second)
 
 
 def _one_id_runs(rows: Mapping[int, Iterable[int]]) -> Iterator[tuple[int, int, Iterable[int]]]:
